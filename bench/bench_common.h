@@ -63,23 +63,14 @@ inline CmaConfig paper_cma_config(const BenchArgs& args, bool record = false) {
   return config;
 }
 
-/// LP budget from the shared flags (--lp-max-pivots).
-inline bounds::LpOptions lp_options(const BenchArgs& args) {
-  bounds::LpOptions options;
-  options.enabled = args.lp_max_pivots > 0;
-  options.max_pivots = args.lp_max_pivots;
-  return options;
-}
-
-/// Gap-column cell: "4.35 (LP)" when the LP bound is live, "(cheap)" when
-/// the budget knob dropped it back to the closed-form floors.
+/// Gap-column cell: "4.35 (dual)" when the Lagrangian dual sets the
+/// bound, "(cheap)" when a closed-form floor is at least as high.
 inline std::string gap_cell(double objective,
                             const bounds::MakespanBoundResult& bound) {
   const double gap = bounds::optimality_gap_pct(objective, bound.value);
   if (!std::isfinite(gap)) return "-";
   return TablePrinter::num(gap, 2) +
-         (bound.lp_status == bounds::LpBoundStatus::kOptimal ? " (LP)"
-                                                             : " (cheap)");
+         (bound.lp > bound.cheap ? " (dual)" : " (cheap)");
 }
 
 /// Folds the per-verdict oks into the report and writes it when --json was

@@ -40,11 +40,11 @@ int run(const BenchArgs& args) {
 
   const auto front = archive.front();
   // With --gap, anchor both axes of the front: the makespan corner against
-  // the LP bound, the flowtime corner against the closed-form floor.
+  // the dual bound, the flowtime corner against the closed-form floor.
   bounds::MakespanBoundResult makespan_bound_result;
   double flow_lb = 0.0;
   if (args.gap) {
-    makespan_bound_result = bounds::makespan_bound(etc, lp_options(args));
+    makespan_bound_result = bounds::makespan_bound(etc);
     flow_lb = flowtime_lower_bound(etc);
   }
 

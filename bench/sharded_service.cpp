@@ -702,7 +702,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Quality anchor: how close the service's scheduling core gets to
-  // the LP makespan lower bound (bounds/lower_bound.h, docs/bounds.md) on
+  // the makespan lower bound (bounds/lower_bound.h, docs/bounds.md) on
   // a fixed canonical instance. Evaluation-bounded rather than wall-clock-
   // bounded, so the result is a pure function of the seed — CI gates the
   // gap across commits without runner speed in the loop. Every other
@@ -733,7 +733,7 @@ int main(int argc, char** argv) {
               << spec.num_machines << " " << spec.name() << ", "
               << portfolio_config.member_stop.max_evaluations
               << " evals/member, seed " << base.seed << "): makespan "
-              << TablePrinter::num(makespan, 1) << " vs LP bound "
+              << TablePrinter::num(makespan, 1) << " vs lower bound "
               << TablePrinter::num(bound.value, 1) << " -> gap "
               << TablePrinter::num(gap, 2) << "% "
               << (anchor_ok ? "OK" : "BELOW BOUND (evaluator bug)")

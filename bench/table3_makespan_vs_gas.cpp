@@ -65,8 +65,7 @@ int run(const BenchArgs& args) {
         paper ? TablePrinter::num(paper->struggle_ga_makespan) : "-",
         paper ? TablePrinter::num(paper->cma_makespan) : "-"};
     if (args.gap) {
-      const auto bound =
-          bounds::makespan_bound(instances[i].etc, lp_options(args));
+      const auto bound = bounds::makespan_bound(instances[i].etc);
       row.insert(row.begin() + 4, {TablePrinter::num(bound.value),
                                    gap_cell(cma.makespan.min, bound)});
 

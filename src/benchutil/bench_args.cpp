@@ -21,9 +21,7 @@ void BenchArgs::register_flags(CliParser& cli) {
            "evaluation budget per run (0 = none; makes runs a pure "
            "function of the seed, independent of machine speed)");
   cli.flag("gap", "false",
-           "report optimality gaps vs the LP/cheap makespan lower bound");
-  cli.flag("lp-max-pivots", std::to_string(defaults.lp_max_pivots),
-           "simplex pivot budget for the LP bound (0 = cheap bounds only)");
+           "report optimality gaps vs the makespan lower bound");
   cli.flag("json", "", "write a BENCH_*.json verdict report (implies --gap)");
 }
 
@@ -38,7 +36,6 @@ BenchArgs BenchArgs::from_cli(const CliParser& cli) {
   args.threads = static_cast<int>(cli.get_int("threads"));
   args.paper = cli.get_bool("paper");
   args.evals = cli.get_int("evals");
-  args.lp_max_pivots = static_cast<int>(cli.get_int("lp-max-pivots"));
   args.json = cli.get("json");
   args.gap = cli.get_bool("gap") || !args.json.empty();
   if (args.paper) {

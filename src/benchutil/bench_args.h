@@ -27,12 +27,9 @@ struct BenchArgs {
   /// every run a pure function of its seed — what the CI gap gate records
   /// in its baseline so foreign runner speed cannot move the verdicts.
   std::int64_t evals = 0;
-  /// Report optimality gaps against the LP/cheap makespan lower bound
+  /// Report optimality gaps against the makespan lower bound
   /// (bounds/lower_bound.h). Implied by --json.
   bool gap = false;
-  /// Simplex pivot budget for the LP bound; 0 falls back to the cheap
-  /// closed-form floors alone.
-  int lp_max_pivots = 20'000;
   /// BENCH_*.json verdict report path (empty = none).
   std::string json;
 

@@ -405,6 +405,9 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc) {
 
 Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
                                                const BatchContext& context) {
+  // Started first so the activation record owns the serial pre-race cost
+  // too: validation, admission, routing, rebalance, sub-matrix build.
+  Stopwatch activation_watch;
   if (context.job_ids.size() != static_cast<std::size_t>(etc.num_jobs()) ||
       context.machine_ids.size() !=
           static_cast<std::size_t>(etc.num_machines())) {
@@ -746,7 +749,6 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
   const double slice =
       config_.total_budget_ms / static_cast<double>(races.size());
   const bool concurrent = config_.concurrent_shards && races.size() > 1;
-  Stopwatch activation_watch;
   if (concurrent) {
     // One group per shard: a group's wait drains exactly that shard's
     // race, so the activations overlap instead of queueing behind a

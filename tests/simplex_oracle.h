@@ -1,14 +1,69 @@
-#include "bounds/simplex.h"
+// Test-side LP oracle: a small dense two-phase simplex solver
+// (minimization, x >= 0) and the exact R||Cmax LP relaxation optimum LP*
+// built on it. tests/test_bounds.cpp checks the library's Lagrangian-dual
+// bound (bounds/lower_bound.h) against LP* at shapes up to 64x8, where the
+// dense tableau stays small; the library itself no longer builds this.
+//
+// A textbook tableau implementation tuned for determinism, not speed:
+//
+//   * Bland's rule for both the entering and the leaving variable
+//     (smallest index wins every tie). This guarantees termination
+//     without perturbation tricks AND makes the pivot sequence — and
+//     therefore the returned optimum — a pure function of the input.
+//   * A pivot budget instead of open-ended iteration: running out of
+//     budget is a first-class status, never a silent best-effort (a
+//     truncated minimization is NOT a valid lower bound).
+//
+// Phase 1 minimizes the sum of artificial variables to find a feasible
+// basis; artificial columns are barred from re-entering in phase 2.
+#pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
-namespace gridsched::bounds {
-namespace {
+#include "etc/etc_matrix.h"
 
-// Tolerances assume the caller feeds a well-scaled problem (coefficients
-// O(1) — lower_bound.cpp normalizes by the largest ETC value before
+namespace gridsched::oracle {
+
+enum class SimplexStatus { kOptimal, kInfeasible, kUnbounded, kPivotLimit };
+
+struct SimplexOptions {
+  /// Total pivot budget across both phases. Bland's rule terminates
+  /// finitely anyway; the cap bounds the worst case wall-clock.
+  int max_pivots = 20'000;
+};
+
+struct SimplexResult {
+  SimplexStatus status = SimplexStatus::kPivotLimit;
+  /// c·x at the final basis. Only meaningful when status == kOptimal.
+  double objective = 0.0;
+  /// Structural variable values (empty unless status == kOptimal).
+  std::vector<double> x;
+  int pivots = 0;
+};
+
+enum class Relation { kLessEqual, kGreaterEqual, kEqual };
+
+struct LinearConstraint {
+  std::vector<double> coeffs;  // one per structural variable
+  Relation relation = Relation::kLessEqual;
+  double rhs = 0.0;
+};
+
+/// minimize objective·x subject to the constraints and x >= 0.
+struct LinearProgram {
+  std::vector<double> objective;
+  std::vector<LinearConstraint> constraints;
+};
+
+namespace detail {
+
+// Tolerances assume a well-scaled problem (coefficients O(1) —
+// lp_relaxation_optimum normalizes by the largest ETC value before
 // building its LP). Zero-pivot and reduced-cost cutoffs are the usual
 // dense-simplex compromise between stalling and accepting noise pivots.
 constexpr double kEps = 1e-9;
@@ -50,10 +105,12 @@ class Tableau {
   std::vector<double> cells_;
 };
 
-}  // namespace
+}  // namespace detail
 
-SimplexResult solve_simplex(const LinearProgram& lp,
-                            const SimplexOptions& options) {
+inline SimplexResult solve_simplex(const LinearProgram& lp,
+                                   const SimplexOptions& options = {}) {
+  using detail::kEps;
+  using detail::kPhase1Tol;
   SimplexResult result;
   const std::size_t n = lp.objective.size();
   const std::size_t m = lp.constraints.size();
@@ -76,7 +133,7 @@ SimplexResult solve_simplex(const LinearProgram& lp,
 
   const std::size_t num_real = n + num_slack;  // columns allowed in phase 2
   const std::size_t cols = num_real + num_artificial;
-  Tableau t(m, cols);
+  detail::Tableau t(m, cols);
   std::vector<std::size_t> basis(m);
 
   std::size_t next_slack = n;
@@ -184,4 +241,56 @@ SimplexResult solve_simplex(const LinearProgram& lp,
   return result;
 }
 
-}  // namespace gridsched::bounds
+struct LpRelaxation {
+  SimplexStatus status = SimplexStatus::kPivotLimit;
+  double optimum = 0.0;  // LP*; meaningful only when status == kOptimal
+};
+
+/// LP*, the optimum of the fractional-assignment relaxation of R||Cmax
+/// (bounds/lower_bound.h states the LP). Variables: x[j][m] at j*m_count+k,
+/// then T last. The data is scaled so the largest coefficient is 1.0,
+/// because the simplex tolerances are absolute and Braun hi-hi ETC values
+/// reach ~3e6.
+inline LpRelaxation lp_relaxation_optimum(const EtcMatrix& etc) {
+  const int n = etc.num_jobs();
+  const int m = etc.num_machines();
+  double scale = 0.0;
+  for (int j = 0; j < n; ++j) {
+    for (const double v : etc.row(j)) scale = std::max(scale, v);
+  }
+  for (int k = 0; k < m; ++k) scale = std::max(scale, etc.ready_time(k));
+  if (scale <= 0.0) return {SimplexStatus::kOptimal, 0.0};
+  const double inv_scale = 1.0 / scale;
+
+  const std::size_t num_vars = static_cast<std::size_t>(n) * m + 1;
+  const std::size_t t_var = num_vars - 1;
+  LinearProgram lp;
+  lp.objective.assign(num_vars, 0.0);
+  lp.objective[t_var] = 1.0;
+  for (int j = 0; j < n; ++j) {
+    LinearConstraint con;
+    con.coeffs.assign(num_vars, 0.0);
+    for (int k = 0; k < m; ++k) {
+      con.coeffs[static_cast<std::size_t>(j) * m + k] = 1.0;
+    }
+    con.relation = Relation::kEqual;
+    con.rhs = 1.0;
+    lp.constraints.push_back(std::move(con));
+  }
+  for (int k = 0; k < m; ++k) {
+    // T - sum_j ETC[j][k]·x[j][k] >= ready[k]
+    LinearConstraint con;
+    con.coeffs.assign(num_vars, 0.0);
+    for (int j = 0; j < n; ++j) {
+      con.coeffs[static_cast<std::size_t>(j) * m + k] = -etc(j, k) * inv_scale;
+    }
+    con.coeffs[t_var] = 1.0;
+    con.relation = Relation::kGreaterEqual;
+    con.rhs = etc.ready_time(k) * inv_scale;
+    lp.constraints.push_back(std::move(con));
+  }
+  const SimplexResult solved = solve_simplex(lp);
+  return {solved.status, solved.objective * scale};
+}
+
+}  // namespace gridsched::oracle

@@ -3,17 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bounds/lower_bound.h"
-#include "bounds/simplex.h"
 #include "cma/cma.h"
 #include "core/evaluator.h"
 #include "etc/instance.h"
 #include "heuristics/constructive.h"
+#include "simplex_oracle.h"
 
 namespace gridsched {
 namespace {
@@ -65,11 +67,10 @@ TEST_P(BoundsSuiteTest, EverySchedulerRespectsTheBounds) {
   spec.num_jobs = 96;
   spec.num_machines = 8;
   const EtcMatrix etc = generate_instance(spec);
-  // The LP-relaxation bound dominates the cheap floors wherever the
-  // simplex proves optimality (it does at this size), so assert against
-  // the combined bound — the strictest floor the library can state.
+  // The Lagrangian-dual bound dominates the cheap floors, so assert
+  // against the combined bound — the strictest floor the library states.
   const auto bound = bounds::makespan_bound(etc);
-  ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
+  ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kPivotLimit);
   const double makespan_floor = bound.value;
   const double flowtime_floor = flowtime_lower_bound(etc);
   ASSERT_GT(makespan_floor, 0.0);
@@ -94,17 +95,18 @@ TEST_P(BoundsSuiteTest, EverySchedulerRespectsTheBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// The dense two-phase simplex behind the LP-relaxation bound.
+// The dense two-phase simplex the dual bound is checked against
+// (tests/simplex_oracle.h; test-side only).
 
 TEST(Simplex, SolvesAKnownTinyLp) {
   // min -x - 2y  s.t.  x + y <= 3, x <= 2, y <= 2  ->  x=1, y=2, obj -5.
-  bounds::LinearProgram lp;
+  oracle::LinearProgram lp;
   lp.objective = {-1.0, -2.0};
-  lp.constraints.push_back({{1.0, 1.0}, bounds::Relation::kLessEqual, 3.0});
-  lp.constraints.push_back({{1.0, 0.0}, bounds::Relation::kLessEqual, 2.0});
-  lp.constraints.push_back({{0.0, 1.0}, bounds::Relation::kLessEqual, 2.0});
-  const auto result = bounds::solve_simplex(lp);
-  ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
+  lp.constraints.push_back({{1.0, 1.0}, oracle::Relation::kLessEqual, 3.0});
+  lp.constraints.push_back({{1.0, 0.0}, oracle::Relation::kLessEqual, 2.0});
+  lp.constraints.push_back({{0.0, 1.0}, oracle::Relation::kLessEqual, 2.0});
+  const auto result = oracle::solve_simplex(lp);
+  ASSERT_EQ(result.status, oracle::SimplexStatus::kOptimal);
   EXPECT_NEAR(result.objective, -5.0, 1e-9);
   ASSERT_EQ(result.x.size(), 2u);
   EXPECT_NEAR(result.x[0], 1.0, 1e-9);
@@ -113,46 +115,46 @@ TEST(Simplex, SolvesAKnownTinyLp) {
 
 TEST(Simplex, HandlesEqualityAndGreaterEqualRows) {
   // min x + y  s.t.  x + y = 2, x >= 0.5  ->  x=0.5 (any split), obj 2.
-  bounds::LinearProgram lp;
+  oracle::LinearProgram lp;
   lp.objective = {1.0, 1.0};
-  lp.constraints.push_back({{1.0, 1.0}, bounds::Relation::kEqual, 2.0});
-  lp.constraints.push_back({{1.0, 0.0}, bounds::Relation::kGreaterEqual, 0.5});
-  const auto result = bounds::solve_simplex(lp);
-  ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
+  lp.constraints.push_back({{1.0, 1.0}, oracle::Relation::kEqual, 2.0});
+  lp.constraints.push_back({{1.0, 0.0}, oracle::Relation::kGreaterEqual, 0.5});
+  const auto result = oracle::solve_simplex(lp);
+  ASSERT_EQ(result.status, oracle::SimplexStatus::kOptimal);
   EXPECT_NEAR(result.objective, 2.0, 1e-9);
 }
 
 TEST(Simplex, DetectsInfeasible) {
-  bounds::LinearProgram lp;
+  oracle::LinearProgram lp;
   lp.objective = {1.0};
-  lp.constraints.push_back({{1.0}, bounds::Relation::kGreaterEqual, 2.0});
-  lp.constraints.push_back({{1.0}, bounds::Relation::kLessEqual, 1.0});
-  EXPECT_EQ(bounds::solve_simplex(lp).status,
-            bounds::SimplexStatus::kInfeasible);
+  lp.constraints.push_back({{1.0}, oracle::Relation::kGreaterEqual, 2.0});
+  lp.constraints.push_back({{1.0}, oracle::Relation::kLessEqual, 1.0});
+  EXPECT_EQ(oracle::solve_simplex(lp).status,
+            oracle::SimplexStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
   // min -x  s.t.  x >= 1: x can grow forever.
-  bounds::LinearProgram lp;
+  oracle::LinearProgram lp;
   lp.objective = {-1.0};
-  lp.constraints.push_back({{1.0}, bounds::Relation::kGreaterEqual, 1.0});
-  EXPECT_EQ(bounds::solve_simplex(lp).status,
-            bounds::SimplexStatus::kUnbounded);
+  lp.constraints.push_back({{1.0}, oracle::Relation::kGreaterEqual, 1.0});
+  EXPECT_EQ(oracle::solve_simplex(lp).status,
+            oracle::SimplexStatus::kUnbounded);
 }
 
 TEST(Simplex, PivotBudgetIsAFirstClassStatus) {
-  bounds::LinearProgram lp;
+  oracle::LinearProgram lp;
   lp.objective = {-1.0, -2.0};
-  lp.constraints.push_back({{1.0, 1.0}, bounds::Relation::kLessEqual, 3.0});
-  lp.constraints.push_back({{1.0, 0.0}, bounds::Relation::kLessEqual, 2.0});
-  bounds::SimplexOptions options;
+  lp.constraints.push_back({{1.0, 1.0}, oracle::Relation::kLessEqual, 3.0});
+  lp.constraints.push_back({{1.0, 0.0}, oracle::Relation::kLessEqual, 2.0});
+  oracle::SimplexOptions options;
   options.max_pivots = 0;
-  EXPECT_EQ(bounds::solve_simplex(lp, options).status,
-            bounds::SimplexStatus::kPivotLimit);
+  EXPECT_EQ(oracle::solve_simplex(lp, options).status,
+            oracle::SimplexStatus::kPivotLimit);
 }
 
 // ---------------------------------------------------------------------------
-// The combined makespan bound (cheap floors + LP relaxation).
+// The combined makespan bound (cheap floors + Lagrangian dual).
 
 /// Exhaustive R||Cmax optimum: all m^n assignments. Only for tiny n.
 double exhaustive_optimal_makespan(const EtcMatrix& etc) {
@@ -180,9 +182,9 @@ double exhaustive_optimal_makespan(const EtcMatrix& etc) {
   return best;
 }
 
-TEST(LpBound, NeverExceedsTheExhaustiveOptimum) {
+TEST(DualBound, NeverExceedsTheExhaustiveOptimum) {
   // 6 jobs x 3 machines: 729 schedules, brute-forceable, across all 12
-  // Braun classes. The LP value and the combined bound must both sit at
+  // Braun classes. The dual value and the combined bound must both sit at
   // or below the true optimum.
   for (InstanceSpec spec : braun_benchmark_suite()) {
     spec.num_jobs = 6;
@@ -190,102 +192,179 @@ TEST(LpBound, NeverExceedsTheExhaustiveOptimum) {
     const EtcMatrix etc = generate_instance(spec);
     const double optimal = exhaustive_optimal_makespan(etc);
     const auto bound = bounds::makespan_bound(etc);
-    ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal) << spec.name();
+    ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kPivotLimit)
+        << spec.name();
     EXPECT_LE(bound.lp, optimal * (1 + 1e-9)) << spec.name();
     EXPECT_LE(bound.value, optimal * (1 + 1e-9)) << spec.name();
     EXPECT_GT(bound.value, 0.0) << spec.name();
   }
 }
 
-TEST(LpBound, MatchesTheLoadBoundOnUniformInstances) {
+TEST(DualBound, ReachesTheLpOptimumFromBelow) {
+  // Weak duality keeps every iterate at or below LP*; the default budget
+  // must also close to within 1e-4 of it. Checked against the simplex
+  // oracle on all 12 classes at two shapes.
+  for (const auto& [jobs, machines] : {std::pair{40, 7}, std::pair{64, 8}}) {
+    for (InstanceSpec spec : braun_benchmark_suite()) {
+      spec.num_jobs = jobs;
+      spec.num_machines = machines;
+      const EtcMatrix etc = generate_instance(spec);
+      const auto lp = oracle::lp_relaxation_optimum(etc);
+      ASSERT_EQ(lp.status, oracle::SimplexStatus::kOptimal) << spec.name();
+      const auto bound = bounds::makespan_bound(etc);
+      EXPECT_LE(bound.lp, lp.optimum * (1 + 1e-9))
+          << spec.name() << " " << jobs << "x" << machines;
+      EXPECT_GE(bound.lp, lp.optimum * (1 - 1e-4))
+          << spec.name() << " " << jobs << "x" << machines;
+    }
+  }
+}
+
+TEST(DualBound, MatchesTheLoadBoundOnUniformInstances) {
   // All-equal ETC: the LP splits every job evenly, T = n·e/m exactly, and
-  // that equals the fractional load bound (here it is tight).
+  // uniform λ — the ascent's first iterate — already attains it.
   EtcMatrix etc(8, 4, std::vector<double>(32, 5.0));
   const auto bound = bounds::makespan_bound(etc);
-  ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
   EXPECT_NEAR(bound.lp, 10.0, 1e-9);
   EXPECT_NEAR(bound.value, 10.0, 1e-9);
 }
 
-TEST(LpBound, DominatesTheLoadAndReadyBounds) {
-  // Weak LP duality: uniform machine weights recover the load bound and a
-  // single-machine weight recovers the ready bound, so the LP optimum can
-  // never sit below either (it CAN sit below the per-job bound — next
-  // test). Checked across all classes at an odd shape.
+TEST(DualBound, AllZeroInstanceBoundsAtZero) {
+  // g is 0 for every λ: the ascent stops after one evaluation instead of
+  // normalizing a zero supergradient.
+  const EtcMatrix etc(3, 2);
+  const auto bound = bounds::makespan_bound(etc);
+  EXPECT_EQ(bound.lp, 0.0);
+  EXPECT_EQ(bound.value, 0.0);
+  EXPECT_EQ(bound.lp_pivots, 1);
+}
+
+TEST(DualBound, DominatesTheLoadAndReadyBounds) {
+  // Uniform λ — the ascent's first iterate — is the load bound, so the
+  // dual never sits below it. A single-machine λ is the ready bound: a
+  // vertex the ascent only approaches (measured up to ~3e-3 short), so
+  // the combined max(cheap, dual) is what dominates it exactly, and it
+  // still tracks LP* to 1e-4 (the dual CAN sit below the per-job bound —
+  // next test). Checked across all classes at an odd shape, with
+  // backlogs on some machines so the ready bound binds on the
+  // non-consistent classes.
   for (InstanceSpec spec : braun_benchmark_suite()) {
     spec.num_jobs = 40;
     spec.num_machines = 7;
-    const EtcMatrix etc = generate_instance(spec);
+    EtcMatrix etc = generate_instance(spec);
+    const double load = load_lower_bound(etc);
+    etc.set_ready_time(2, 0.5 * load);
+    if (spec.consistency != Consistency::kConsistent) {
+      etc.set_ready_time(5, 2.0 * load);
+    }
     const auto bound = bounds::makespan_bound(etc);
-    ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal) << spec.name();
+    const auto lp = oracle::lp_relaxation_optimum(etc);
+    ASSERT_EQ(lp.status, oracle::SimplexStatus::kOptimal) << spec.name();
     EXPECT_GE(bound.lp, load_lower_bound(etc) * (1 - 1e-9)) << spec.name();
-    EXPECT_GE(bound.lp, ready_time_bound(etc) * (1 - 1e-9)) << spec.name();
-    EXPECT_GE(bound.value, makespan_lower_bound(etc)) << spec.name();
+    EXPECT_LE(bound.lp, lp.optimum * (1 + 1e-9)) << spec.name();
+    EXPECT_GE(bound.value, ready_time_bound(etc)) << spec.name();
+    EXPECT_GE(bound.value, lp.optimum * (1 - 1e-4)) << spec.name();
   }
 }
 
-TEST(LpBound, CanSitBelowTheJobBoundAndTheMaxStillWins) {
-  // One unit job on two machines: the LP splits it (T = 0.5) but no real
-  // schedule finishes before 1.0 — which is why the combined bound takes
-  // max(cheap, LP) instead of trusting the LP alone.
+TEST(DualBound, CanSitBelowTheJobBoundAndTheMaxStillWins) {
+  // One unit job on two machines: the relaxation splits it (LP* = 0.5,
+  // attained by uniform λ) but no real schedule finishes before 1.0 —
+  // which is why the combined bound takes max(cheap, dual).
   EtcMatrix etc(1, 2, {1.0, 1.0});
   const auto bound = bounds::makespan_bound(etc);
-  ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
-  EXPECT_NEAR(bound.lp, 0.5, 1e-9);
+  EXPECT_DOUBLE_EQ(bound.lp, 0.5);
   EXPECT_DOUBLE_EQ(bound.value, 1.0);
 }
 
-TEST(LpBound, TightensTheCheapBoundOnHeterogeneousMachines) {
+TEST(DualBound, TightensTheCheapBoundOnHeterogeneousMachines) {
   // Three jobs that run 100x slower on m1: the load bound pretends the
-  // fast machine can absorb everything, the LP knows the split is lossy.
+  // fast machine can absorb everything, the dual knows the split is lossy.
   EtcMatrix etc(3, 2, {10, 1000, 10, 1000, 10, 1000});
   const auto bound = bounds::makespan_bound(etc);
-  ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
   EXPECT_GT(bound.lp, makespan_lower_bound(etc) * 1.5);
   // Exhaustive optimum at this size confirms validity.
   EXPECT_LE(bound.value,
             exhaustive_optimal_makespan(etc) * (1 + 1e-9));
 }
 
-TEST(LpBound, PivotOrderIsDeterministic) {
-  // Bland's rule makes the pivot sequence a pure function of the input:
-  // two solves must agree bitwise, pivots included.
+TEST(DualBound, IsBitwiseDeterministic) {
+  // The ascent runs IEEE basic operations only, in a fixed order: two
+  // runs must agree bitwise, iteration count included.
   InstanceSpec spec;
   spec.num_jobs = 48;
   spec.num_machines = 6;
   const EtcMatrix etc = generate_instance(spec);
   const auto a = bounds::makespan_bound(etc);
   const auto b = bounds::makespan_bound(etc);
-  ASSERT_EQ(a.lp_status, bounds::LpBoundStatus::kOptimal);
   EXPECT_EQ(a.lp, b.lp);        // bitwise, not NEAR
   EXPECT_EQ(a.value, b.value);  // bitwise
   EXPECT_EQ(a.lp_pivots, b.lp_pivots);
 }
 
-TEST(LpBound, BudgetKnobsFallBackToTheCheapBound) {
+TEST(DualBound, BestValueNeverDecreasesAsTheBudgetGrows) {
+  // The step rule never looks at the budget, so a larger budget extends
+  // the same walk: the best iterate can only improve.
+  InstanceSpec spec;
+  spec.consistency = Consistency::kSemiConsistent;
+  spec.num_jobs = 64;
+  spec.num_machines = 8;
+  const EtcMatrix etc = generate_instance(spec);
+  double previous = 0.0;
+  for (const int budget : {1, 2, 10, 150, 1'000, 2'000, 5'000}) {
+    bounds::LpOptions options;
+    options.max_pivots = budget;
+    const auto bound = bounds::makespan_bound(etc, options);
+    EXPECT_EQ(bound.lp_status, bounds::LpBoundStatus::kPivotLimit);
+    EXPECT_EQ(bound.lp_pivots, budget);
+    EXPECT_GE(bound.lp, previous) << "budget " << budget;
+    previous = bound.lp;
+  }
+  // One iteration evaluates uniform λ only: exactly the load bound.
+  bounds::LpOptions one;
+  one.max_pivots = 1;
+  EXPECT_NEAR(bounds::makespan_bound(etc, one).lp, load_lower_bound(etc),
+              load_lower_bound(etc) * 1e-12);
+}
+
+TEST(DualBound, NonPositiveBudgetReturnsTheCheapFloor) {
   InstanceSpec spec;
   spec.num_jobs = 24;
   spec.num_machines = 4;
   const EtcMatrix etc = generate_instance(spec);
   const double cheap = makespan_lower_bound(etc);
+  for (const int budget : {0, -1}) {
+    bounds::LpOptions options;
+    options.max_pivots = budget;
+    const auto result = bounds::makespan_bound(etc, options);
+    EXPECT_EQ(result.lp_status, bounds::LpBoundStatus::kDisabled);
+    EXPECT_EQ(result.lp, 0.0);
+    EXPECT_EQ(result.lp_pivots, 0);
+    EXPECT_DOUBLE_EQ(result.value, cheap);
+  }
+}
 
-  bounds::LpOptions disabled;
-  disabled.enabled = false;
-  auto result = bounds::makespan_bound(etc, disabled);
-  EXPECT_EQ(result.lp_status, bounds::LpBoundStatus::kDisabled);
-  EXPECT_DOUBLE_EQ(result.value, cheap);
-
-  bounds::LpOptions starved;
-  starved.max_pivots = 1;
-  result = bounds::makespan_bound(etc, starved);
-  EXPECT_EQ(result.lp_status, bounds::LpBoundStatus::kPivotLimit);
-  EXPECT_DOUBLE_EQ(result.value, cheap);
-
-  bounds::LpOptions cramped;
-  cramped.max_tableau_cells = 16;
-  result = bounds::makespan_bound(etc, cramped);
-  EXPECT_EQ(result.lp_status, bounds::LpBoundStatus::kTooLarge);
-  EXPECT_DOUBLE_EQ(result.value, cheap);
+TEST(DualBound, PaperShapeSmoke) {
+  // The paper's 512x16 shape, where a dense simplex tableau would need
+  // tens of MiB: the default budget stays well under a second per class
+  // and lifts the bound clear of the cheap floor on every consistent and
+  // semi-consistent class.
+  for (InstanceSpec spec : braun_benchmark_suite()) {
+    const EtcMatrix etc = generate_instance(spec);  // 512x16 by default
+    ASSERT_EQ(etc.num_jobs(), 512);
+    ASSERT_EQ(etc.num_machines(), 16);
+    const auto start = std::chrono::steady_clock::now();
+    const auto bound = bounds::makespan_bound(etc);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 1.0) << spec.name();
+    EXPECT_EQ(bound.lp_pivots, bounds::LpOptions{}.max_pivots);
+    EXPECT_GE(bound.value, bound.cheap) << spec.name();
+    if (spec.consistency != Consistency::kInconsistent) {
+      EXPECT_GE(bound.value, 1.2 * bound.cheap) << spec.name();
+    }
+  }
 }
 
 TEST(LpBound, GapHelperDefinition) {
