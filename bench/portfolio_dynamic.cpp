@@ -196,11 +196,13 @@ int main(int argc, char** argv) {
       return std::make_unique<HeuristicBatchScheduler>(HeuristicKind::kMinMin);
     });
     simulate([&](std::uint64_t) {
-      return std::make_unique<StruggleGaBatchScheduler>(StruggleGaConfig{},
-                                                        budget_ms);
+      return std::make_unique<MemberBatchScheduler>(
+          std::make_unique<StruggleGaMember>(StruggleGaConfig{}), budget_ms);
     });
     simulate([&](std::uint64_t) {
-      return std::make_unique<CmaBatchScheduler>(CmaConfig{}, budget_ms);
+      return std::make_unique<MemberBatchScheduler>(
+          std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false),
+          budget_ms);
     });
     const std::size_t num_single = outcomes.size();
 

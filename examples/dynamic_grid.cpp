@@ -15,6 +15,7 @@
 // machine failures and repairs.
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "benchutil/table.h"
 #include "common/cli.h"
@@ -78,8 +79,9 @@ int main(int argc, char** argv) {
   HeuristicBatchScheduler minmin_sched(HeuristicKind::kMinMin);
   const SimMetrics minmin_metrics = simulate(minmin_sched);
 
-  CmaConfig cma_config;  // Table 1 defaults
-  CmaBatchScheduler cma_sched(cma_config, cli.get_double("budget-ms"));
+  MemberBatchScheduler cma_sched(  // Table 1 defaults
+      std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false),
+      cli.get_double("budget-ms"));
   const SimMetrics cma_metrics = simulate(cma_sched);
 
   PortfolioConfig portfolio_config;

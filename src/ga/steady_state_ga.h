@@ -11,7 +11,8 @@
 //   kOldest                offspring replaces the longest-resident one
 //   kMostSimilar           the Struggle rule (minimum Hamming distance)
 //   kDeterministicCrowding offspring competes with its more similar parent
-// All rules are gated on "only if fitter".
+// All rules are gated on "only if fitter". The Struggle GA baseline is
+// this loop under kMostSimilar (the preset in ga/struggle_ga.h).
 #pragma once
 
 #include <cstdint>

@@ -3,52 +3,25 @@
 // A steady-state GA whose replacement rule preserves diversity: a new
 // offspring competes with ("struggles against") the *most similar*
 // individual of the population — by Hamming distance over the assignment
-// vector — and replaces it only if fitter. This similarity-based crowding
-// is the defining feature; the rest of the loop is a plain GA.
+// vector — and replaces it only if fitter. That rule is
+// ReplacementPolicy::kMostSimilar of the shared steady-state loop
+// (ga/steady_state_ga.h), so the Struggle GA is a preset of that loop
+// rather than an engine of its own.
 #pragma once
 
-#include <cstdint>
-
-#include "cma/crossover.h"
-#include "cma/mutation.h"
-#include "cma/selection.h"
-#include "core/evolution.h"
-#include "core/fitness.h"
-#include "etc/etc_matrix.h"
-#include "ga/ga_common.h"
+#include "ga/steady_state_ga.h"
 
 namespace gridsched {
 
-struct StruggleGaConfig {
-  int population_size = 70;
-  SelectionConfig selection{SelectionKind::kTournament, 3};
-  double crossover_rate = 1.0;  // struggle GAs typically always recombine
-  double mutation_rate = 0.4;
-  CrossoverKind crossover = CrossoverKind::kOnePoint;
-  MutationKind mutation = MutationKind::kRebalance;
-  // Seeded with both classic heuristics: the published Tables 3/5 numbers
-  // show this GA within ~1% of the cMA, which a plain GA only reaches
-  // from a strong start (EXPERIMENTS.md discusses the calibration).
-  GaSeeding seeding{{HeuristicKind::kLjfrSjfr, HeuristicKind::kMinMin}};
-  FitnessWeights weights{};
-  StopCondition stop{.max_time_ms = 90'000.0};
-  std::uint64_t seed = 1;
-  bool record_progress = false;
-  int steps_per_iteration = 32;
+/// SteadyStateGaConfig with the Struggle GA's defaults: most-similar
+/// replacement, and recombination on every step (struggle GAs typically
+/// always recombine).
+struct StruggleGaConfig : SteadyStateGaConfig {
+  StruggleGaConfig()
+      : SteadyStateGaConfig{.replacement = ReplacementPolicy::kMostSimilar,
+                            .crossover_rate = 1.0} {}
 };
 
-class StruggleGa {
- public:
-  explicit StruggleGa(StruggleGaConfig config);
-
-  [[nodiscard]] EvolutionResult run(const EtcMatrix& etc) const;
-
-  [[nodiscard]] const StruggleGaConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  StruggleGaConfig config_;
-};
+using StruggleGa = SteadyStateGa;
 
 }  // namespace gridsched

@@ -208,4 +208,29 @@ MemberResult StruggleGaMember::solve(const EtcMatrix& etc,
   return result;
 }
 
+MemberBatchScheduler::MemberBatchScheduler(
+    std::unique_ptr<PortfolioMember> member, double budget_ms)
+    : member_(std::move(member)), budget_ms_(budget_ms) {}
+
+std::string_view MemberBatchScheduler::name() const noexcept {
+  return member_->name();
+}
+
+Schedule MemberBatchScheduler::schedule_batch(const EtcMatrix& etc) {
+  constexpr std::uint64_t kBaseSeed = 1;
+  const std::uint64_t seed = splitmix64(++activation_) ^ kBaseSeed;
+  if (etc.num_jobs() == 1) {
+    Schedule s(1);
+    s[0] = mct(etc)[0];
+    return s;
+  }
+  MemberResult result = member_->solve(
+      etc, StopCondition{.max_time_ms = budget_ms_}, {}, seed);
+  const Individual fallback =
+      make_individual(min_min(etc), etc, member_->weights());
+  return fallback.fitness < result.best.fitness
+             ? fallback.schedule
+             : std::move(result.best.schedule);
+}
+
 }  // namespace gridsched

@@ -22,6 +22,7 @@
 #include "etc/etc_matrix.h"
 #include "ga/struggle_ga.h"
 #include "heuristics/constructive.h"
+#include "sim/batch_scheduler.h"
 
 namespace gridsched {
 
@@ -45,6 +46,9 @@ class PortfolioMember {
     return false;
   }
 
+  /// The weights `MemberResult::best.fitness` is scored under.
+  [[nodiscard]] virtual FitnessWeights weights() const noexcept = 0;
+
   /// Solves one batch. `stop` aggregates the member's own bounds with the
   /// activation budget and cancellation token; `warm` may be empty.
   [[nodiscard]] virtual MemberResult solve(const EtcMatrix& etc,
@@ -61,6 +65,9 @@ class HeuristicMember final : public PortfolioMember {
   [[nodiscard]] std::string_view name() const noexcept override;
   [[nodiscard]] bool negligible_cost() const noexcept override {
     return true;
+  }
+  [[nodiscard]] FitnessWeights weights() const noexcept override {
+    return weights_;
   }
   [[nodiscard]] MemberResult solve(const EtcMatrix& etc,
                                    const StopCondition& stop,
@@ -79,6 +86,9 @@ class CmaMember final : public PortfolioMember {
   CmaMember(CmaConfig config, bool synchronous);
 
   [[nodiscard]] std::string_view name() const noexcept override;
+  [[nodiscard]] FitnessWeights weights() const noexcept override {
+    return config_.weights;
+  }
   [[nodiscard]] MemberResult solve(const EtcMatrix& etc,
                                    const StopCondition& stop,
                                    std::span<const Schedule> warm,
@@ -111,6 +121,9 @@ class LahcMember final : public PortfolioMember {
   explicit LahcMember(LahcConfig config = {});
 
   [[nodiscard]] std::string_view name() const noexcept override;
+  [[nodiscard]] FitnessWeights weights() const noexcept override {
+    return config_.weights;
+  }
   [[nodiscard]] MemberResult solve(const EtcMatrix& etc,
                                    const StopCondition& stop,
                                    std::span<const Schedule> warm,
@@ -126,6 +139,9 @@ class StruggleGaMember final : public PortfolioMember {
   explicit StruggleGaMember(StruggleGaConfig config);
 
   [[nodiscard]] std::string_view name() const noexcept override;
+  [[nodiscard]] FitnessWeights weights() const noexcept override {
+    return config_.weights;
+  }
   [[nodiscard]] MemberResult solve(const EtcMatrix& etc,
                                    const StopCondition& stop,
                                    std::span<const Schedule> warm,
@@ -133,6 +149,29 @@ class StruggleGaMember final : public PortfolioMember {
 
  private:
   StruggleGaConfig config_;
+};
+
+/// Runs one member alone as the dynamic grid's batch scheduler, for a
+/// fixed short wall-clock budget per activation — the paper's "cMA in
+/// batch mode for a very short time". Each activation draws a fresh seed
+/// from a fixed base seed, so repeated batches do not replay one stream.
+/// Single-job batches shortcut to MCT. The member's answer is ensembled
+/// with Min-Min (the strongest constructive heuristic) under the member's
+/// own weights: whichever has the better batch fitness wins, so a
+/// too-short budget can never make the dynamic scheduler worse than its
+/// constructive fallback.
+class MemberBatchScheduler final : public BatchScheduler {
+ public:
+  MemberBatchScheduler(std::unique_ptr<PortfolioMember> member,
+                       double budget_ms);
+
+  [[nodiscard]] std::string_view name() const noexcept override;
+  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override;
+
+ private:
+  std::unique_ptr<PortfolioMember> member_;
+  double budget_ms_;
+  std::uint64_t activation_ = 0;
 };
 
 }  // namespace gridsched

@@ -6,15 +6,13 @@
 namespace gridsched {
 namespace {
 
-/// One pass over per-job outcomes, shared by both arrival modes:
-/// materialized folds the end-of-run record vector, streaming folds each
-/// job as the simulator finalizes it via the job observer. Both arrive
-/// in id order, so every floating-point accumulation happens in the same
-/// sequence — the per-shard/per-class views are bit-identical across
-/// modes. Shard attribution calls shard_of_machine at fold time: the
-/// end-of-run partition in materialized mode, the finalize-time
-/// partition in streaming mode — identical unless dynamic split/merge
-/// moved a machine between a job's completion and the end of the run.
+/// One pass over per-job outcomes, folding each job as the simulator
+/// finalizes it via the job observer. Jobs arrive in id order whatever
+/// the arrival source, so every floating-point accumulation happens in
+/// the same sequence — the per-shard/per-class views are bit-identical
+/// between a `workload` and a `stream` run of the same jobs. Shard
+/// attribution calls shard_of_machine at fold time, i.e. the partition
+/// when the job's outcome became final.
 struct JobFold {
   GridSchedulingService& service;
   int num_classes;
@@ -119,25 +117,14 @@ ShardedSimReport run_sharded(GridSimulator& sim,
                              GridSchedulingService& service) {
   ShardedSimReport report;
   const int num_classes = sim.config().num_job_classes;
-  const bool streaming = sim.config().stream != nullptr;
   JobFold fold(service, num_classes);
-  if (streaming) {
-    // Streaming leaves job_records()/arrival_trace() empty by design, so
-    // fold each job the moment the simulator finalizes it.
-    sim.set_job_observer([&fold](const SimJobRecord& record,
-                                 const TraceJob& job) {
-      fold.add(record, job);
-    });
-  }
+  sim.set_job_observer([&fold](const SimJobRecord& record,
+                               const TraceJob& job) {
+    fold.add(record, job);
+  });
   report.global = sim.run(service);
-  if (streaming) sim.set_job_observer({});
+  sim.set_job_observer({});
   report.workload = std::string(sim.workload_name());
-  if (!streaming) {
-    const std::vector<TraceJob>& trace = sim.arrival_trace();
-    for (const SimJobRecord& record : sim.job_records()) {
-      fold.add(record, trace[static_cast<std::size_t>(record.id)]);
-    }
-  }
 
   // num_shards() reflects the end-of-run partition (splits may have grown
   // it); merged-away slots simply report zeros.
@@ -178,8 +165,7 @@ ShardedSimReport run_sharded(GridSimulator& sim,
     }
   }
 
-  // --- Shard-local machine utilization over the global elapsed time
-  // (machine_busy() is populated in both modes). ---
+  // --- Shard-local machine utilization over the global elapsed time. ---
   const std::vector<double>& busy = sim.machine_busy();
   std::vector<double> busy_sum(report.per_shard.size(), 0.0);
   std::vector<int> machine_count(report.per_shard.size(), 0);

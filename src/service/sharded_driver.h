@@ -79,12 +79,11 @@ struct ShardedSimReport {
 /// cumulative, so pass a freshly constructed service for an exact per-run
 /// report.
 ///
-/// Works in both arrival modes: with `SimConfig::stream` set the driver
-/// installs its own job observer (clobbering any caller-installed one)
-/// and folds each job as it finalizes, so the report is identical to a
-/// materialized run of the same jobs bit for bit — except shard
-/// attribution under dynamic split/merge, which uses the partition at
-/// finalize time rather than end of run.
+/// The driver installs its own job observer (clobbering any
+/// caller-installed one) and folds each job as it finalizes, so a
+/// `workload` and a `stream` run of the same jobs report identically bit
+/// for bit. Shard attribution under dynamic split/merge uses the
+/// partition at the time each job's outcome became final.
 [[nodiscard]] ShardedSimReport run_sharded(GridSimulator& sim,
                                            GridSchedulingService& service);
 

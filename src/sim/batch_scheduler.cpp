@@ -27,53 +27,4 @@ Schedule HeuristicBatchScheduler::schedule_batch(const EtcMatrix& etc) {
   return construct_schedule(kind_, etc, rng_);
 }
 
-CmaBatchScheduler::CmaBatchScheduler(CmaConfig config, double budget_ms)
-    : config_(std::move(config)) {
-  config_.stop = StopCondition{.max_time_ms = budget_ms};
-  config_.record_progress = false;
-}
-
-std::string_view CmaBatchScheduler::name() const noexcept { return "cMA"; }
-
-Schedule CmaBatchScheduler::schedule_batch(const EtcMatrix& etc) {
-  CmaConfig config = config_;
-  config.seed = splitmix64(++activation_) ^ config_.seed;
-  // Tiny batches cannot fill the default 5x5 mesh usefully, but the engine
-  // handles them; single-job batches shortcut to the only sensible answer.
-  if (etc.num_jobs() == 1) {
-    Schedule s(1);
-    s[0] = mct(etc)[0];
-    return s;
-  }
-  Individual evolved = CellularMemeticAlgorithm(config).run(etc).best;
-  const Individual fallback =
-      make_individual(min_min(etc), etc, config.weights);
-  return fallback.fitness < evolved.fitness ? fallback.schedule
-                                            : std::move(evolved.schedule);
-}
-
-StruggleGaBatchScheduler::StruggleGaBatchScheduler(StruggleGaConfig config,
-                                                   double budget_ms)
-    : config_(std::move(config)) {
-  config_.stop = StopCondition{.max_time_ms = budget_ms};
-  config_.record_progress = false;
-}
-
-std::string_view StruggleGaBatchScheduler::name() const noexcept {
-  return "StruggleGA";
-}
-
-Schedule StruggleGaBatchScheduler::schedule_batch(const EtcMatrix& etc) {
-  StruggleGaConfig config = config_;
-  config.seed = splitmix64(++activation_) ^ config_.seed;
-  if (etc.num_jobs() == 1) {
-    Schedule s(1);
-    s[0] = mct(etc)[0];
-    return s;
-  }
-  config.population_size = std::min(config.population_size,
-                                    std::max(2, etc.num_jobs() * 4));
-  return StruggleGa(config).run(etc).best.schedule;
-}
-
 }  // namespace gridsched

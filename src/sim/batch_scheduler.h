@@ -5,8 +5,10 @@
 // time to schedule jobs arriving to the system since the last activation".
 // GridSimulator hands each activation's pending jobs to a BatchScheduler as
 // a fresh ETC sub-problem whose ready times encode the machines' current
-// backlogs; any algorithm in the library can fill that role via the
-// adapters below.
+// backlogs. HeuristicBatchScheduler below wraps a constructive heuristic;
+// MemberBatchScheduler (portfolio/member.h) runs any portfolio member, the
+// cMA included, and PortfolioBatchScheduler (portfolio/portfolio.h) races
+// several of them.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +17,8 @@
 #include <string_view>
 #include <vector>
 
-#include "cma/cma.h"
 #include "core/schedule.h"
 #include "etc/etc_matrix.h"
-#include "ga/struggle_ga.h"
 #include "heuristics/constructive.h"
 
 namespace gridsched {
@@ -99,38 +99,6 @@ class HeuristicBatchScheduler final : public BatchScheduler {
  private:
   HeuristicKind kind_;
   Rng rng_;
-};
-
-/// Runs the cMA for a fixed short budget per activation. Each activation
-/// uses a fresh seed derived from the base seed so repeated batches do not
-/// replay the same stream. The result is ensembled with Min-Min (the
-/// strongest constructive heuristic): whichever has the better batch
-/// fitness wins, so a too-short budget can never make the dynamic
-/// scheduler worse than its constructive fallback.
-class CmaBatchScheduler final : public BatchScheduler {
- public:
-  /// `budget_ms` overrides config.stop with a pure time bound.
-  CmaBatchScheduler(CmaConfig config, double budget_ms);
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override;
-
- private:
-  CmaConfig config_;
-  std::uint64_t activation_ = 0;
-};
-
-/// Struggle GA under a per-activation budget (baseline for examples).
-class StruggleGaBatchScheduler final : public BatchScheduler {
- public:
-  StruggleGaBatchScheduler(StruggleGaConfig config, double budget_ms);
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override;
-
- private:
-  StruggleGaConfig config_;
-  std::uint64_t activation_ = 0;
 };
 
 }  // namespace gridsched

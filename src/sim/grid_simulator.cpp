@@ -30,6 +30,34 @@ struct MachineState {
   std::vector<int> queued_jobs;  // jobs committed but not finished
 };
 
+/// Pulls, by cursor, the arrivals generated up front for a run without a
+/// SimConfig::stream — the streaming contract over a vector the simulator
+/// owns, with no sort and no copy (the source already promised arrival
+/// order; the pull loop validates it).
+class GeneratedArrivals final : public StreamingWorkloadSource {
+ public:
+  explicit GeneratedArrivals(const std::vector<TraceJob>& jobs)
+      : jobs_(jobs), qos_(stream_qos_of(jobs)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "generated";
+  }
+  bool next_chunk(double until, std::vector<TraceJob>& out) override {
+    // Negated so a NaN arrival reaches the pull loop's validator.
+    while (cursor_ < jobs_.size() && !(jobs_[cursor_].arrival > until)) {
+      out.push_back(jobs_[cursor_]);
+      ++cursor_;
+    }
+    return cursor_ < jobs_.size();
+  }
+  [[nodiscard]] StreamQos qos() const noexcept override { return qos_; }
+
+ private:
+  const std::vector<TraceJob>& jobs_;
+  std::size_t cursor_ = 0;
+  StreamQos qos_;
+};
+
 }  // namespace
 
 GridSimulator::GridSimulator(SimConfig config) : config_(std::move(config)) {
@@ -45,6 +73,13 @@ GridSimulator::GridSimulator(SimConfig config) : config_(std::move(config)) {
   if ((!config_.workload && !config_.stream && config_.arrival_rate <= 0) ||
       config_.horizon <= 0 || config_.scheduler_period <= 0) {
     throw std::invalid_argument("SimConfig: rates and horizon must be > 0");
+  }
+  // Negated comparisons reject NaN alongside genuine range violations.
+  if (!(config_.mips_min > 0) || !std::isfinite(config_.mips_min) ||
+      !(config_.mips_max >= config_.mips_min) ||
+      !std::isfinite(config_.mips_max)) {
+    throw std::invalid_argument(
+        "SimConfig: need finite MIPS with 0 < mips_min <= mips_max");
   }
   if ((config_.machine_mtbf > 0) != (config_.machine_mttr > 0)) {
     throw std::invalid_argument(
@@ -64,7 +99,6 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
   Rng machine_rng = rng.split();
   Rng churn_rng = rng.split();
 
-  const bool streaming = config_.stream != nullptr;
   const bool replaying_churn = config_.churn_replay != nullptr;
   const bool churn_enabled = config_.machine_mtbf > 0 || replaying_churn;
 
@@ -127,10 +161,14 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     if (job.user < 0) job.user = -1;
   };
 
-  bool qos_deadlines = false;
-  bool qos_budgets = false;
-  if (!streaming) {
-    // --- Materialize the arrival stream over the horizon. ---
+  // --- The arrival source: the configured stream, or the workload (the
+  // default Poisson process when unset) generated once over the horizon
+  // and pulled by cursor. Either way, arrivals enter an in-flight window,
+  // jobs [first_live, next_id) keyed by id, and leave it only once their
+  // outcome can never change again. A generated run also keeps its jobs
+  // and records for job_records()/arrival_trace(). ---
+  const bool recording = config_.stream == nullptr;
+  if (recording) {
     if (config_.workload) {
       trace_ = config_.workload->generate(config_.horizon, arrival_rng,
                                           workload_rng);
@@ -140,57 +178,29 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
           LogNormalSize{config_.workload_log_mean, config_.workload_log_sigma});
       trace_ = poisson.generate(config_.horizon, arrival_rng, workload_rng);
     }
-    for (std::size_t i = 0; i < trace_.size(); ++i) {
-      TraceJob& job = trace_[i];
-      // Negated comparisons reject NaN alongside genuine range violations.
-      if (!(job.arrival >= 0) || !std::isfinite(job.arrival) ||
-          !(job.workload_mi > 0) || !std::isfinite(job.workload_mi) ||
-          (i > 0 && job.arrival < trace_[i - 1].arrival)) {
-        throw std::runtime_error(
-            "GridSimulator: workload source produced an invalid stream "
-            "(arrivals must be finite, sorted and >= 0, sizes finite > 0)");
-      }
-      SimJobRecord record;
-      record.id = static_cast<int>(i);
-      record.arrival = job.arrival;
-      records_.push_back(record);
-      normalize_job(job, record.id);
-    }
-    qos_deadlines =
-        std::any_of(trace_.begin(), trace_.end(),
-                    [](const TraceJob& job) { return job.deadline >= 0; });
-    qos_budgets =
-        std::any_of(trace_.begin(), trace_.end(), [](const TraceJob& job) {
-          return job.user >= 0 || job.budget >= 0;
-        });
-  } else {
-    // A stream cannot be scanned up front, so the QoS regime is the
-    // source's declaration. A declared-but-unset column is behaviorally
-    // inert (infinite slack / no users), pinned by test.
-    const StreamQos stream_qos = config_.stream->qos();
-    qos_deadlines = stream_qos.deadlines;
-    qos_budgets = stream_qos.budgets;
+    records_.reserve(trace_.size());
   }
+  GeneratedArrivals generated(trace_);
+  StreamingWorkloadSource& arrivals =
+      recording ? generated : *config_.stream;
+  // The QoS regime is fixed once, here: a stream cannot be scanned up
+  // front, so it is the source's declaration. A declared-but-unset column
+  // is behaviorally inert (infinite slack / no users), pinned by test.
+  const StreamQos qos = arrivals.qos();
 
-  // --- In-flight window (streaming mode): jobs [first_live, next_id)
-  // keyed by id. A job leaves the window only once its outcome can never
-  // change again; record_of/job_of dispatch so the batch loop below is
-  // mode-agnostic. ---
   std::deque<TraceJob> live_jobs;
   std::deque<SimJobRecord> live_records;
   int first_live = 0;
   int next_id = 0;
   double last_arrival = 0.0;
   std::vector<TraceJob> chunk;
-  bool stream_open = streaming;
+  bool arrivals_open = true;
 
   auto job_of = [&](int id) -> TraceJob& {
-    return streaming ? live_jobs[static_cast<std::size_t>(id - first_live)]
-                     : trace_[static_cast<std::size_t>(id)];
+    return live_jobs[static_cast<std::size_t>(id - first_live)];
   };
   auto record_of = [&](int id) -> SimJobRecord& {
-    return streaming ? live_records[static_cast<std::size_t>(id - first_live)]
-                     : records_[static_cast<std::size_t>(id)];
+    return live_records[static_cast<std::size_t>(id - first_live)];
   };
 
   auto cost_rate_of = [&](int machine) {
@@ -199,8 +209,7 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
            config_.mips_max;
   };
 
-  auto etc_of = [&](int job_id, int machine) {
-    const TraceJob& job = job_of(job_id);
+  auto etc_of = [&](const TraceJob& job, int job_id, int machine) {
     double base =
         job.workload_mi / machines[static_cast<std::size_t>(machine)].mips;
     if (config_.num_job_classes > 0 &&
@@ -213,11 +222,10 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
   };
 
   SimMetrics metrics;
-  if (!streaming) metrics.jobs_arrived = static_cast<int>(records_.size());
 
-  // --- Per-job finalization, shared by both modes and always invoked in
-  // id order, so every floating-point accumulation happens in the same
-  // sequence — the streaming/materialized bit-identity hinges on this. ---
+  // --- Per-job finalization, always invoked in id order, so every
+  // floating-point accumulation happens in the same sequence whatever the
+  // arrival source — the stream/workload bit-identity hinges on this. ---
   double flow_sum = 0.0;
   double wait_sum = 0.0;
   double slowdown_sum = 0.0;
@@ -236,6 +244,10 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
       }
     }
     if (observer_) observer_(r, job);
+    if (recording) {
+      records_.push_back(r);
+      trace_[static_cast<std::size_t>(r.id)] = job;
+    }
     if (r.finish < 0) return;
     ++metrics.jobs_completed;
     flow_sum += r.flowtime();
@@ -246,7 +258,7 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     }
     double ideal = std::numeric_limits<double>::infinity();
     for (int m = 0; m < config_.num_machines; ++m) {
-      ideal = std::min(ideal, etc_of(r.id, m));
+      ideal = std::min(ideal, etc_of(job, r.id, m));
     }
     slowdown_sum += r.flowtime() / ideal;
     metrics.max_flowtime = std::max(metrics.max_flowtime, r.flowtime());
@@ -254,7 +266,6 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
   };
 
   std::deque<int> pending;  // job ids awaiting scheduling
-  std::size_t next_arrival = 0;
   std::size_t churn_cursor = 0;  // next churn_replay event to apply
   double now = 0.0;
   Stopwatch cpu;
@@ -334,49 +345,39 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
       }
     }
 
-    // --- Retire immortal jobs from the in-flight window (streaming).
-    // After this activation's churn, a job with finish <= now can never
-    // be re-queued (every future fail_at lands in a later window), so
-    // the contiguous finished/rejected prefix is final. Finalizing
-    // exactly that prefix keeps the accumulation order identical to the
-    // materialized end-of-run pass. ---
-    if (streaming) {
-      const int prune_from = first_live;
-      while (!live_records.empty()) {
-        const SimJobRecord& r = live_records.front();
-        if (!(r.rejected || (r.finish >= 0 && r.finish <= now))) break;
-        finalize_job(r, live_jobs.front());
-        live_records.pop_front();
-        live_jobs.pop_front();
-        ++first_live;
-      }
-      if (churn_enabled && first_live != prune_from) {
-        // Retired ids can never be re-queued; drop them so queue scans
-        // and memory stay proportional to the live window.
-        for (auto& m : machines) {
-          std::erase_if(m.queued_jobs,
-                        [&](int id) { return id < first_live; });
-        }
+    // --- Retire immortal jobs from the in-flight window. After this
+    // activation's churn, a job with finish <= now can never be re-queued
+    // (every future fail_at lands in a later window), so the contiguous
+    // finished/rejected prefix is final, and finalizing exactly that
+    // prefix keeps the id order. ---
+    const int prune_from = first_live;
+    while (!live_records.empty()) {
+      const SimJobRecord& r = live_records.front();
+      if (!(r.rejected || (r.finish >= 0 && r.finish <= now))) break;
+      finalize_job(r, live_jobs.front());
+      live_records.pop_front();
+      live_jobs.pop_front();
+      ++first_live;
+    }
+    if (churn_enabled && first_live != prune_from) {
+      // Retired ids can never be re-queued; drop them so queue scans
+      // and memory stay proportional to the live window.
+      for (auto& m : machines) {
+        std::erase_if(m.queued_jobs, [&](int id) { return id < first_live; });
       }
     }
 
     // --- Collect arrivals up to now. ---
-    if (!streaming) {
-      while (next_arrival < records_.size() &&
-             records_[next_arrival].arrival <= now) {
-        pending.push_back(records_[next_arrival].id);
-        ++next_arrival;
-      }
-    } else if (stream_open) {
+    if (arrivals_open) {
       chunk.clear();
-      stream_open = config_.stream->next_chunk(now, chunk);
+      arrivals_open = arrivals.next_chunk(now, chunk);
       for (const TraceJob& incoming : chunk) {
         // Horizon convention is half-open [0, horizon) everywhere: a
         // boundary arrival is dropped, exactly as the synthetic
         // generators and TraceWorkloadSource never emit it. Released
         // jobs are sorted, so the rest of the chunk is past it too.
         if (incoming.arrival >= config_.horizon) {
-          stream_open = false;
+          arrivals_open = false;
           break;
         }
         if (!(incoming.arrival >= 0) || !std::isfinite(incoming.arrival) ||
@@ -398,14 +399,13 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
         ++next_id;
         ++metrics.jobs_arrived;
       }
-      if (now >= config_.horizon) stream_open = false;
+      if (now >= config_.horizon) arrivals_open = false;
       metrics.peak_resident_jobs =
           std::max(metrics.peak_resident_jobs,
                    static_cast<int>(live_records.size()));
     }
 
-    const bool horizon_passed =
-        streaming ? !stream_open : next_arrival >= records_.size();
+    const bool horizon_passed = !arrivals_open;
     if (pending.empty()) {
       if (horizon_passed) break;  // nothing left to do
       continue;
@@ -426,9 +426,10 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     EtcMatrix etc(static_cast<int>(batch.size()),
                   static_cast<int>(alive.size()));
     for (std::size_t bj = 0; bj < batch.size(); ++bj) {
+      const TraceJob& job = job_of(batch[bj]);
       for (std::size_t bm = 0; bm < alive.size(); ++bm) {
         etc.set(static_cast<JobId>(bj), static_cast<MachineId>(bm),
-                etc_of(batch[bj], alive[bm]));
+                etc_of(job, batch[bj], alive[bm]));
       }
     }
     for (std::size_t bm = 0; bm < alive.size(); ++bm) {
@@ -455,7 +456,7 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
         ctx.job_classes.push_back(job_of(job).job_class);
       }
     }
-    if (qos_deadlines) {
+    if (qos.deadlines) {
       // Relative slack: absolute deadline minus the activation time, so
       // schedulers compare it against batch completion times directly.
       ctx.job_deadlines.reserve(batch.size());
@@ -466,7 +467,7 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
                           : std::numeric_limits<double>::infinity());
       }
     }
-    if (qos_budgets) {
+    if (qos.budgets) {
       ctx.job_users.reserve(batch.size());
       ctx.job_budgets.reserve(batch.size());
       for (const int job : batch) {
@@ -521,9 +522,9 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
         r.attempts += 1;
         cursor = r.finish;
         m.busy_until_now += cost;
-        // queued_jobs only feeds failure re-queues; in streaming mode
-        // without churn, tracking it would grow without bound.
-        if (!streaming || churn_enabled) m.queued_jobs.push_back(r.id);
+        // queued_jobs only feeds failure re-queues; without churn,
+        // tracking it would grow without bound.
+        if (churn_enabled) m.queued_jobs.push_back(r.id);
       }
       m.free_at = cursor;
     }
@@ -531,23 +532,17 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     if (horizon_passed && !config_.drain) break;
   }
 
-  // --- Aggregate metrics over completed jobs (materialized: everything
-  // finalizes here; streaming: flush whatever the in-flight window still
-  // holds — jobs whose finish lies past the last activation, or that
-  // never got scheduled). Same finalizer, same id order either way. ---
-  if (!streaming) {
-    metrics.peak_resident_jobs = static_cast<int>(records_.size());
-    for (const auto& r : records_) {
-      finalize_job(r, trace_[static_cast<std::size_t>(r.id)]);
-    }
-  } else {
-    while (!live_records.empty()) {
-      finalize_job(live_records.front(), live_jobs.front());
-      live_records.pop_front();
-      live_jobs.pop_front();
-      ++first_live;
-    }
+  // --- Flush whatever the in-flight window still holds — jobs whose
+  // finish lies past the last activation, or that never got scheduled —
+  // then aggregate metrics over completed jobs. A recorded trace drops
+  // the jobs the horizon cut off. ---
+  while (!live_records.empty()) {
+    finalize_job(live_records.front(), live_jobs.front());
+    live_records.pop_front();
+    live_jobs.pop_front();
+    ++first_live;
   }
+  trace_.resize(records_.size());
   if (metrics.jobs_completed > 0) {
     metrics.mean_flowtime = flow_sum / metrics.jobs_completed;
     metrics.mean_wait = wait_sum / metrics.jobs_completed;

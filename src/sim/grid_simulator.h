@@ -9,14 +9,18 @@
 // MTBF/MTTR); jobs on a failed machine are re-queued, since execution is
 // non-preemptive.
 //
-// The arrival stream comes from a pluggable WorkloadSource
-// (workload/workload_source.h): trace replay, bursty, diurnal,
-// heavy-tailed, flash-crowd, or — when `SimConfig::workload` is unset —
-// the historical Poisson process with LogNormal sizes, reproduced draw
-// for draw. Whatever produced it, the materialized stream of the last run
-// is exposed via `arrival_trace()` with effective job classes filled in,
-// so any run can be recorded (workload/trace_io.h) and replayed
-// bit-for-bit.
+// Arrivals come from a pluggable source (workload/workload_source.h), and
+// every run consumes them the same way: each activation pulls the jobs
+// that arrived since the last one, validates them, and holds only the
+// in-flight window, finalizing jobs in id order as their outcomes become
+// final. The source is either a `SimConfig::stream`, consumed chunk by
+// chunk, or a `SimConfig::workload` — trace replay, bursty, diurnal,
+// heavy-tailed, flash-crowd, or, when unset, the historical Poisson
+// process with LogNormal sizes, reproduced draw for draw — generated once
+// over the horizon and pulled by cursor. A workload run also keeps its
+// per-job records and its arrival stream, with effective job classes
+// filled in (`job_records()`, `arrival_trace()`), so it can be recorded
+// (workload/trace_io.h) and replayed bit-for-bit.
 //
 // ETC entries for a (job, machine) pair derive from job workload (MI) and
 // machine speed (MIPS), optionally distorted by two independent
@@ -83,18 +87,17 @@ struct SimConfig {
   /// stateless across runs.
   std::shared_ptr<WorkloadSource> workload;
   /// Streaming arrival stream, mutually exclusive with `workload`: the
-  /// simulator pulls `next_chunk(now)` each activation and holds only the
-  /// in-flight job window, so a multi-million-job trace replays in O(1)
-  /// memory (SimMetrics::peak_resident_jobs reports the window's high
-  /// water mark). Unlike `workload`, a stream carries a cursor and is
-  /// CONSUMED by one run — build a fresh one per run. In this mode
-  /// `job_records()`/`arrival_trace()` stay empty; observe per-job
-  /// outcomes via set_job_observer.
+  /// simulator pulls `next_chunk(now)` each activation, so a
+  /// multi-million-job trace replays in O(1) memory without ever being
+  /// materialized. Unlike `workload`, a stream carries a cursor and is
+  /// CONSUMED by one run — build a fresh one per run. A stream run keeps
+  /// no `job_records()`/`arrival_trace()`; observe per-job outcomes via
+  /// set_job_observer.
   std::shared_ptr<StreamingWorkloadSource> stream;
   /// Recorded churn to replay (workload/trace_io.h sidecar): when set,
   /// machine failures come from this event sequence instead of the
   /// MTBF/MTTR draws, making a churny run reproducible under ANY
-  /// scheduler and either arrival mode. Events must be the recorded
+  /// scheduler and either arrival source. Events must be the recorded
   /// order (non-decreasing activation windows), validated at run().
   std::shared_ptr<const std::vector<ChurnEvent>> churn_replay;
 };
@@ -136,12 +139,12 @@ struct SimMetrics {
   /// the tail, so p50/p99 come from here (flowtime_hist.p99()).
   LatencyHistogram flowtime_hist;
   // QoS outcomes (all zero when the trace carries no deadlines).
-  /// High-water mark of jobs resident in simulator memory at once. In
-  /// streaming mode this is the in-flight window (bounded by scheduling
-  /// locality, independent of trace length — the O(1)-memory guarantee,
-  /// gated by bench/trace_replay); in materialized mode it equals
-  /// jobs_arrived. Deterministic, so parity checks exclude it like
-  /// scheduler_cpu_ms.
+  /// High-water mark of the in-flight window: jobs arrived but not yet
+  /// final. Bounded by scheduling locality, independent of trace length —
+  /// the O(1)-memory guarantee of a stream run, gated by
+  /// bench/trace_replay. (A workload run also keeps its generated jobs
+  /// and records for arrival_trace()/job_records(); those are not
+  /// counted.)
   int peak_resident_jobs = 0;
   int jobs_rejected = 0;   // dropped at ingress by admission control
   int deadline_jobs = 0;   // jobs that carried a deadline
@@ -159,11 +162,10 @@ struct SimMetrics {
 class GridSimulator {
  public:
   /// Fires once per job, in job-id (= arrival) order, when the job's
-  /// outcome is final: at end of run in materialized mode, as the
-  /// in-flight window drains in streaming mode. The TraceJob carries the
-  /// normalized fields (resolved class, -1 sentinels) the run actually
-  /// used. Identical call sequence in both modes — the bit-identity
-  /// bridge between them.
+  /// outcome is final, as the in-flight window drains. The TraceJob
+  /// carries the normalized fields (resolved class, -1 sentinels) the run
+  /// actually used. The call sequence is the same whether the jobs come
+  /// from a `workload` or a `stream`.
   using JobObserver = std::function<void(const SimJobRecord&, const TraceJob&)>;
 
   explicit GridSimulator(SimConfig config);
@@ -176,14 +178,16 @@ class GridSimulator {
     observer_ = std::move(observer);
   }
 
-  /// Per-job records of the last run (empty before the first run, and
-  /// always empty in streaming mode — use set_job_observer there).
+  /// Per-job records of the last workload run, in id order (empty before
+  /// the first run, and always empty for a stream run — use
+  /// set_job_observer there).
   [[nodiscard]] const std::vector<SimJobRecord>& job_records() const noexcept {
     return records_;
   }
 
-  /// The materialized arrival stream of the last run, with the job class
-  /// each ETC actually used filled in (when classes are enabled).
+  /// The arrival stream of the last workload run (empty for a stream
+  /// run), with the job class each ETC actually used filled in (when
+  /// classes are enabled).
   /// `write_trace(out, sim.arrival_trace())` re-emits the run as a trace
   /// that TraceWorkloadSource replays bit-for-bit under the same config.
   [[nodiscard]] const std::vector<TraceJob>& arrival_trace() const noexcept {

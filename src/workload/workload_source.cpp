@@ -225,6 +225,19 @@ std::vector<TraceJob> ClassMixWorkload::generate(double horizon,
   return jobs;
 }
 
+StreamQos stream_qos_of(std::span<const TraceJob> jobs) noexcept {
+  StreamQos qos;
+  for (const TraceJob& job : jobs) {
+    if (job.deadline >= 0 && std::isfinite(job.deadline)) {
+      qos.deadlines = true;
+    }
+    if (job.user >= 0 || (job.budget >= 0 && std::isfinite(job.budget))) {
+      qos.budgets = true;
+    }
+  }
+  return qos;
+}
+
 MaterializedStream::MaterializedStream(std::vector<TraceJob> jobs,
                                        std::string name)
     : jobs_(std::move(jobs)), name_(std::move(name)) {
@@ -232,10 +245,7 @@ MaterializedStream::MaterializedStream(std::vector<TraceJob> jobs,
                    [](const TraceJob& a, const TraceJob& b) {
                      return a.arrival < b.arrival;
                    });
-  for (const TraceJob& job : jobs_) {
-    if (job.deadline >= 0) qos_.deadlines = true;
-    if (job.user >= 0 || job.budget >= 0) qos_.budgets = true;
-  }
+  qos_ = stream_qos_of(jobs_);
 }
 
 MaterializedStream::MaterializedStream(WorkloadSource& source, double horizon,
@@ -244,7 +254,8 @@ MaterializedStream::MaterializedStream(WorkloadSource& source, double horizon,
                          "stream(" + std::string(source.name()) + ")") {}
 
 bool MaterializedStream::next_chunk(double until, std::vector<TraceJob>& out) {
-  while (cursor_ < jobs_.size() && jobs_[cursor_].arrival <= until) {
+  // Negated so a NaN arrival is released to the simulator's validator.
+  while (cursor_ < jobs_.size() && !(jobs_[cursor_].arrival > until)) {
     out.push_back(jobs_[cursor_]);
     ++cursor_;
   }

@@ -6,7 +6,8 @@
 // those patterns, so the simulator now delegates its arrival stream to a
 // pluggable WorkloadSource. A source materializes the full stream over
 // the horizon as `TraceJob`s (arrival time, job size in MI, optional job
-// class); the simulator validates it, resolves effective job classes, and
+// class); the simulator pulls it by cursor, one activation at a time,
+// validating each arrival and resolving its effective job class, and
 // exposes the stream back via `GridSimulator::arrival_trace()` so any run
 // can be re-emitted as a trace (workload/trace_io.h) and replayed
 // bit-for-bit through TraceWorkloadSource.
@@ -33,17 +34,18 @@
 //
 // HORIZON CONVENTION (pinned by tests/test_workload.cpp): the arrival
 // window is half-open, [0, horizon). Every source — synthetic generators,
-// TraceWorkloadSource::generate, and the streaming path in GridSimulator —
+// TraceWorkloadSource::generate, and the arrival pull in GridSimulator —
 // drops a job whose arrival equals the horizon exactly, so replaying a
 // recorded run can never drop or duplicate the boundary job.
 //
 // For traces too large to materialize (a multi-million-job supercomputer
 // log), `StreamingWorkloadSource` is the incremental counterpart of
-// `WorkloadSource`: the simulator pulls arrivals chunk by chunk
-// (`next_chunk(until)`) and retires per-job state as jobs finalize, so
-// peak memory is bounded by the in-flight window, not the trace length.
-// `MaterializedStream` adapts any in-memory stream (or any existing
-// WorkloadSource via its untouched `generate()`) onto the streaming path.
+// `WorkloadSource`: the simulator pulls its chunks (`next_chunk(until)`)
+// through the same per-activation path, never materializing the trace,
+// and retires per-job state as jobs finalize, so peak memory is bounded
+// by the in-flight window, not the trace length. `MaterializedStream`
+// adapts any in-memory stream (or any existing WorkloadSource via its
+// untouched `generate()`) into a StreamingWorkloadSource.
 #pragma once
 
 #include <cstdint>
@@ -109,8 +111,8 @@ class WorkloadSource {
 
 /// Which QoS columns a stream can carry. The simulator decides ONCE, at
 /// run start, whether batches get deadline/budget context (it cannot scan
-/// an unmaterialized stream the way the materialized path scans its
-/// vector), so streaming sources declare it up front. Declaring a column
+/// an unmaterialized stream the way it scans a generated workload), so
+/// streaming sources declare it up front. Declaring a column
 /// that turns out to hold only sentinels is harmless: an all-infinite
 /// deadline column is behaviorally identical to an absent one
 /// (test-pinned in the portfolio), it just rides along in BatchContext.
@@ -118,6 +120,11 @@ struct StreamQos {
   bool deadlines = false;  ///< some job may carry a finite deadline
   bool budgets = false;    ///< some job may carry a user or cost budget
 };
+
+/// The QoS columns an in-memory stream actually uses, by the simulator's
+/// sentinel rule: a deadline or budget counts only when finite and >= 0,
+/// a user only when >= 0.
+[[nodiscard]] StreamQos stream_qos_of(std::span<const TraceJob> jobs) noexcept;
 
 /// Incremental counterpart of WorkloadSource for traces too large to
 /// materialize. A streaming source is single-shot: it consumes its
@@ -141,11 +148,11 @@ class StreamingWorkloadSource {
   [[nodiscard]] virtual StreamQos qos() const noexcept { return {}; }
 };
 
-/// Streams an in-memory job vector — the materializing adapter that lets
-/// every existing WorkloadSource (whose `generate()` is untouched) and
-/// every recorded trace feed the streaming path. QoS presence is computed
-/// exactly from the jobs, so a simulation consuming the adapter is
-/// bit-identical to one consuming the materialized vector directly.
+/// Streams an in-memory job vector — the adapter that lets every existing
+/// WorkloadSource (whose `generate()` is untouched) and every recorded
+/// trace feed SimConfig::stream. QoS presence is `stream_qos_of` the
+/// jobs, so a simulation consuming the adapter is bit-identical to one
+/// given the same jobs as a SimConfig::workload.
 class MaterializedStream final : public StreamingWorkloadSource {
  public:
   /// Jobs are stably sorted by arrival here (file/recorded order kept for

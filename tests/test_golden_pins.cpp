@@ -2,10 +2,12 @@
 //
 // The evaluator's delta machinery (O(1) previews, closed-form applies,
 // reset_to gene replay) promises BITWISE-identical results to the naive
-// full-recompute path. These pins hold five fixed-seed runs — cMA under
-// three operator configurations, the synchronous cMA and the Struggle GA —
-// to exact gene hashes and %.17g objective values captured from a
-// from-scratch evaluation. Any rounding drift anywhere in the preview /
+// full-recompute path. These pins hold six fixed-seed runs — cMA under
+// three operator configurations, the synchronous cMA, and the shared
+// steady-state GA loop under two replacement policies (the default
+// replace-worst, and the Struggle GA's most-similar) — to exact gene
+// hashes and %.17g objective values captured from a from-scratch
+// evaluation. Any rounding drift anywhere in the preview /
 // apply / canonicalize / reset_to pipeline, or an RNG draw added or
 // removed from an operator, flips a pin.
 //
@@ -23,6 +25,7 @@
 #include "cma/cma.h"
 #include "cma/sync_cma.h"
 #include "etc/instance.h"
+#include "ga/steady_state_ga.h"
 #include "ga/struggle_ga.h"
 
 namespace gridsched {
@@ -121,6 +124,16 @@ TEST(GoldenPins, SynchronousCmaDefault) {
   expect_pin(SynchronousCellularMa(cfg, 0).run(pinned_instance()),
              {12215915701544311963ULL, 806567.47494147578, 27795466.673021756,
               1039229.7729720718, 2000});
+}
+
+TEST(GoldenPins, SteadyStateGa) {
+  SteadyStateGaConfig cfg;
+  cfg.population_size = 40;
+  cfg.stop = StopCondition{.max_evaluations = 3000};
+  cfg.seed = 13;
+  expect_pin(SteadyStateGa(cfg).run(pinned_instance()),
+             {7661805299321927184ULL, 830769.26238799677, 26307309.59087795,
+              1034128.6591484656, 3000});
 }
 
 TEST(GoldenPins, StruggleGa) {

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "etc/instance.h"
+#include "portfolio/member.h"
 
 namespace gridsched {
 namespace {
@@ -120,13 +125,13 @@ TEST(GridSimulator, LoadAwareSchedulerBeatsBlindOne) {
   EXPECT_LT(mct_flow, olb_flow);
 }
 
-TEST(GridSimulator, CmaBatchSchedulerRunsEndToEnd) {
+TEST(GridSimulator, MemberBatchSchedulerRunsTheCmaEndToEnd) {
   SimConfig config = fast_sim();
   config.horizon = 150.0;
   GridSimulator sim(config);
-  CmaConfig cma_config;
-  cma_config.stop = StopCondition{.max_evaluations = 300};
-  CmaBatchScheduler scheduler(cma_config, /*budget_ms=*/15.0);
+  MemberBatchScheduler scheduler(
+      std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false),
+      /*budget_ms=*/15.0);
   const SimMetrics metrics = sim.run(scheduler);
   EXPECT_EQ(metrics.jobs_completed, metrics.jobs_arrived);
   EXPECT_GT(metrics.scheduler_cpu_ms, 0.0);
@@ -164,17 +169,33 @@ TEST(GridSimulator, BadConfigsThrow) {
   SimConfig no_rate = fast_sim();
   no_rate.arrival_rate = 0.0;
   EXPECT_THROW(GridSimulator{no_rate}, std::invalid_argument);
+  // MIPS ranges: non-finite or non-positive speeds, and inverted ranges.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [mips_min, mips_max] :
+       std::vector<std::pair<double, double>>{{0.0, 0.0},
+                                              {-500.0, -100.0},
+                                              {nan, nan},
+                                              {100.0, nan},
+                                              {inf, inf},
+                                              {100.0, inf},
+                                              {500.0, 100.0}}) {
+    SimConfig bad_mips = fast_sim();
+    bad_mips.mips_min = mips_min;
+    bad_mips.mips_max = mips_max;
+    EXPECT_THROW(GridSimulator{bad_mips}, std::invalid_argument)
+        << mips_min << ".." << mips_max;
+  }
 }
 
 TEST(BatchSchedulers, NamesAreMeaningful) {
   HeuristicBatchScheduler h(HeuristicKind::kMinMin);
   EXPECT_EQ(h.name(), "Min-Min");
-  CmaConfig cma_config;
-  cma_config.stop = StopCondition{.max_evaluations = 10};
-  CmaBatchScheduler c(cma_config, 5.0);
+  MemberBatchScheduler c(
+      std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false), 5.0);
   EXPECT_EQ(c.name(), "cMA");
-  StruggleGaConfig sg_config;
-  StruggleGaBatchScheduler s(sg_config, 5.0);
+  MemberBatchScheduler s(std::make_unique<StruggleGaMember>(StruggleGaConfig{}),
+                         5.0);
   EXPECT_EQ(s.name(), "StruggleGA");
 }
 
@@ -197,30 +218,50 @@ TEST(GridSimulator, NoDrainLeavesLateArrivalsUnscheduled) {
   }
 }
 
+/// The members the batch adapter is tested with: the paper's cMA and the
+/// Struggle GA baseline, both scored under `weights`.
+std::vector<std::unique_ptr<PortfolioMember>> adapter_members(
+    FitnessWeights weights = {}) {
+  CmaConfig cma_config;
+  cma_config.weights = weights;
+  StruggleGaConfig ga_config;
+  ga_config.weights = weights;
+  std::vector<std::unique_ptr<PortfolioMember>> members;
+  members.push_back(
+      std::make_unique<CmaMember>(cma_config, /*synchronous=*/false));
+  members.push_back(std::make_unique<StruggleGaMember>(ga_config));
+  return members;
+}
+
 TEST(GridSimulator, CmaFallbackNeverLosesToMinMinOnABatch) {
-  // The ensemble rule inside CmaBatchScheduler: its batch fitness is at
-  // most Min-Min's, whatever the budget.
+  // The ensemble rule inside MemberBatchScheduler: its batch fitness is at
+  // most Min-Min's, whatever the budget, under the member's own weights.
   InstanceSpec spec;
   spec.num_jobs = 40;
   spec.num_machines = 8;
   const EtcMatrix etc = generate_instance(spec);
-  CmaConfig config;
-  config.stop = StopCondition{.max_evaluations = 50};  // starved on purpose
-  CmaBatchScheduler scheduler(config, 1.0);
-  const Schedule plan = scheduler.schedule_batch(etc);
-  const Individual planned = make_individual(plan, etc, FitnessWeights{});
-  const Individual minmin =
-      make_individual(min_min(etc), etc, FitnessWeights{});
-  EXPECT_LE(planned.fitness, minmin.fitness + 1e-9);
+  for (const FitnessWeights weights :
+       {FitnessWeights{}, FitnessWeights{.lambda = 0.0}}) {
+    const Individual minmin = make_individual(min_min(etc), etc, weights);
+    for (auto& member : adapter_members(weights)) {
+      EXPECT_EQ(member->weights().lambda, weights.lambda);
+      // A 1 ms budget starves the search on purpose.
+      MemberBatchScheduler scheduler(std::move(member), 1.0);
+      const Schedule plan = scheduler.schedule_batch(etc);
+      const Individual planned = make_individual(plan, etc, weights);
+      EXPECT_LE(planned.fitness, minmin.fitness + 1e-9)
+          << scheduler.name() << " lambda " << weights.lambda;
+    }
+  }
 }
 
 TEST(BatchSchedulers, SingleJobBatchShortcut) {
   EtcMatrix etc(1, 3, {30, 10, 20});
-  CmaConfig cma_config;
-  cma_config.stop = StopCondition{.max_evaluations = 10};
-  CmaBatchScheduler scheduler(cma_config, 5.0);
-  const Schedule s = scheduler.schedule_batch(etc);
-  EXPECT_EQ(s[0], 1);  // MCT: minimum completion time machine
+  for (auto& member : adapter_members()) {
+    MemberBatchScheduler scheduler(std::move(member), 5.0);
+    const Schedule s = scheduler.schedule_batch(etc);
+    EXPECT_EQ(s[0], 1) << scheduler.name();  // MCT: minimum completion time
+  }
 }
 
 }  // namespace
