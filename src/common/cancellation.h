@@ -25,7 +25,7 @@ namespace gridsched {
 namespace detail {
 struct CancelState {
   std::atomic<bool> cancelled{false};
-  // Absolute steady-clock deadline in nanoseconds since epoch; the minimum
+  // Absolute steady-clock deadline in nanoseconds since epoch; the maximum
   // value means "no deadline". Written only by the owning source.
   std::atomic<std::int64_t> deadline_ns{
       std::numeric_limits<std::int64_t>::max()};
@@ -81,14 +81,21 @@ class CancellationSource {
   }
 
   /// Arms (or re-arms) an absolute deadline `ms` from now. Tokens report
-  /// cancelled once it passes, with no further action from the owner.
+  /// cancelled once it passes, with no further action from the owner. The
+  /// deadline saturates: a delay past the clock's int64 range (or NaN)
+  /// means "no deadline", and a negative delay one that already passed.
   void set_deadline_in_ms(double ms) noexcept {
+    constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
     const auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
                          Stopwatch::clock::now().time_since_epoch())
                          .count();
-    state_->deadline_ns.store(
-        now + static_cast<std::int64_t>(ms * 1e6),
-        std::memory_order_relaxed);
+    const double delay_ns = ms * 1e6;
+    std::int64_t deadline = kNever;
+    if (delay_ns < static_cast<double>(kNever - now)) {
+      deadline = delay_ns > 0 ? now + static_cast<std::int64_t>(delay_ns)
+                              : now;
+    }
+    state_->deadline_ns.store(deadline, std::memory_order_relaxed);
   }
 
   [[nodiscard]] bool cancel_requested() const noexcept {

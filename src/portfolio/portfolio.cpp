@@ -1,6 +1,7 @@
 #include "portfolio/portfolio.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -42,9 +43,7 @@ PortfolioBatchScheduler::PortfolioBatchScheduler(
   if (members_.empty()) {
     throw std::invalid_argument("Portfolio: need at least one member");
   }
-  if (config_.budget_ms <= 0) {
-    throw std::invalid_argument("Portfolio: budget_ms must be > 0");
-  }
+  set_budget_ms(config_.budget_ms);  // validates it
   for (std::size_t i = 0; i < members_.size(); ++i) {
     stats_.push_back(MemberStats{std::string(members_[i]->name())});
     if (!members_[i]->negligible_cost()) expensive_.push_back(i);
@@ -67,8 +66,10 @@ void PortfolioBatchScheduler::bind_observability(obs::MetricsRegistry* metrics,
 }
 
 void PortfolioBatchScheduler::set_budget_ms(double budget_ms) {
-  if (budget_ms <= 0) {
-    throw std::invalid_argument("Portfolio: budget_ms must be > 0");
+  // Negated comparison rejects NaN too; a non-finite budget would reach
+  // the cancellation deadline as a meaningless float-to-int cast.
+  if (!(budget_ms > 0 && std::isfinite(budget_ms))) {
+    throw std::invalid_argument("Portfolio: budget_ms must be finite and > 0");
   }
   config_.budget_ms = budget_ms;
 }

@@ -20,37 +20,30 @@ PortfolioConfig shard_portfolio_config(const ServiceConfig& service,
   PortfolioConfig config;
   config.budget_ms =
       service.total_budget_ms / static_cast<double>(service.num_shards);
-  config.policy = service.policy;
-  config.ucb = service.ucb;
-  config.weights = service.weights;
   config.member_stop = service.member_stop;
-  config.warm_start = service.warm_start;
-  config.elite_capacity = service.elite_capacity;
   std::uint64_t state = service.seed ^ (static_cast<std::uint64_t>(shard) + 1) *
                                            0x9e3779b97f4a7c15ULL;
   config.seed = splitmix64(state);
   return config;
 }
 
-/// Routing/rebalancing state of one available shard this activation. The
-/// authoritative load view (ready sums, routed work) lives in the
-/// parallel ShardSnapshot vector the router reads — keeping it in one
+/// Routing/rebalancing state of one available shard this activation: its
+/// queue, and the record the activation's moves and race are booked
+/// into. The authoritative load view (ready sums, routed work) lives in
+/// the parallel ShardSnapshot vector the router reads — keeping it in one
 /// place only, so there is no stale second copy to misread.
 struct ActiveShard {
-  int shard = 0;
   std::vector<JobId> queue;  // batch rows, oldest first
-  int migrated_in = 0;
-  int migrated_out = 0;
+  ShardActivationRecord record;
 };
 
-/// One shard's race, built serially and filled concurrently: the
+/// One shard's race, built serially and filled on the pool: the
 /// mutex-free slot the folding step reads after the task groups drain.
 struct ShardRace {
   std::size_t active_index = 0;  // into the `active`/`snapshots` vectors
   EtcMatrix sub;
   BatchContext sub_context;
   Schedule plan;
-  double race_ms = 0.0;
 };
 
 /// Alive-machine view of one shard while deciding splits and merges.
@@ -73,10 +66,15 @@ GridSchedulingService::GridSchedulingService(ServiceConfig config)
   if (config_.num_shards < 1) {
     throw std::invalid_argument("Service: need at least one shard");
   }
-  if (config_.total_budget_ms <= 0) {
-    throw std::invalid_argument("Service: total_budget_ms must be > 0");
+  // Negated comparisons reject NaN too. A NaN or infinite budget would
+  // reach the cancellation deadline's float-to-int cast, and a NaN factor
+  // would silently turn rebalancing off.
+  if (!(config_.total_budget_ms > 0 &&
+        std::isfinite(config_.total_budget_ms))) {
+    throw std::invalid_argument(
+        "Service: total_budget_ms must be finite and > 0");
   }
-  if (config_.imbalance_factor != 0 && config_.imbalance_factor < 1.0) {
+  if (!(config_.imbalance_factor == 0 || config_.imbalance_factor >= 1.0)) {
     throw std::invalid_argument(
         "Service: imbalance_factor must be 0 (off) or >= 1");
   }
@@ -134,9 +132,6 @@ int GridSchedulingService::add_shard_slot() {
       portfolio, PortfolioBatchScheduler::default_members(portfolio), pool_));
   shards_.back()->bind_observability(
       &metrics_, config_.trace, "portfolio.shard" + std::to_string(shard));
-  ShardStats stat;
-  stat.shard = shard;
-  stats_.push_back(std::move(stat));
   return shard;
 }
 
@@ -148,9 +143,23 @@ int GridSchedulingService::shard_of_machine(int grid_machine) const noexcept {
                                     : grid_machine % config_.num_shards;
 }
 
-int GridSchedulingService::shard_of_job(int global_job) const noexcept {
-  const auto it = shard_of_job_.find(global_job);
-  return it != shard_of_job_.end() ? it->second : -1;
+std::vector<ShardStats> GridSchedulingService::shard_stats() const {
+  std::vector<ShardStats> stats(shards_.size());
+  for (std::size_t shard = 0; shard < stats.size(); ++shard) {
+    stats[shard].shard = static_cast<int>(shard);
+  }
+  for (const ShardActivationRecord& record : records_) {
+    ShardStats& stat = stats[static_cast<std::size_t>(record.shard)];
+    stat.activations += record.jobs > 0 ? 1 : 0;
+    stat.jobs_scheduled += record.jobs;
+    stat.migrated_in += record.migrated_in;
+    stat.migrated_out += record.migrated_out;
+    stat.stolen_in += record.stolen_in;
+    stat.stolen_out += record.stolen_out;
+    stat.total_race_ms += record.race_ms;
+    stat.max_race_ms = std::max(stat.max_race_ms, record.race_ms);
+  }
+  return stats;
 }
 
 void GridSchedulingService::adopt_new_machines(
@@ -481,10 +490,6 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
     }
   }
   ++activation_;
-  // The job->shard map describes the current batch only; dropping older
-  // entries keeps a long-lived service's memory flat (finished jobs need
-  // no routing record, and a re-queued job re-enters routing anyway).
-  shard_of_job_.clear();
   if (etc.num_jobs() == 0) return Schedule(0);
 
   // Explicit begin/end (not TraceSpan): the activation span must close
@@ -519,9 +524,9 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
     if (active_index[static_cast<std::size_t>(shard)] < 0) {
       active_index[static_cast<std::size_t>(shard)] =
           static_cast<int>(active.size());
-      ActiveShard entry;
-      entry.shard = shard;
-      active.push_back(std::move(entry));
+      active.push_back(ActiveShard{
+          .queue = {},
+          .record = {.activation = context.activation, .shard = shard}});
       ShardSnapshot snapshot;
       snapshot.shard = shard;
       if (num_classes > 0) {
@@ -630,22 +635,15 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
     const RoutedJob job(row, job_class_of(row), routed_deadline_of(row));
     const std::size_t pick = router_->route(job, etc, snapshots);
     active[pick].queue.push_back(row);
-    const double work = shard_work_estimate(etc, job, snapshots[pick]);
-    snapshots[pick].routed_work += work;
-    snapshots[pick].routed_jobs += 1;
-    if (job.job_class >= 0 && !snapshots[pick].class_routed_work.empty()) {
-      snapshots[pick].class_routed_work[static_cast<std::size_t>(
-          job.job_class)] += work;
-    }
-    shard_of_job_[context.job_ids[static_cast<std::size_t>(row)]] =
-        active[pick].shard;
+    snapshots[pick].book_routed(
+        job.job_class, shard_work_estimate(etc, job, snapshots[pick]), 1);
   }
-  jobs_routed_counter_->add(etc.num_jobs() - jobs_rejected);
 
   // --- Rebalance: the hottest shard sheds its newest jobs to the
   // lightest while the backlogs differ by more than the imbalance factor.
   // Each migration must strictly shrink the hot/light spread, which
   // guarantees termination and forbids ping-pong. ---
+  int jobs_migrated = 0;
   if (config_.imbalance_factor >= 1.0 && active.size() > 1) {
     const std::size_t max_migrations =
         static_cast<std::size_t>(etc.num_jobs());
@@ -670,24 +668,11 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
       }
       active[hot].queue.pop_back();
       active[light].queue.push_back(job.row);
-      snapshots[hot].routed_work -= out_work;
-      snapshots[hot].routed_jobs -= 1;
-      snapshots[light].routed_work += in_work;
-      snapshots[light].routed_jobs += 1;
-      if (job.job_class >= 0) {
-        const auto job_class = static_cast<std::size_t>(job.job_class);
-        if (!snapshots[hot].class_routed_work.empty()) {
-          snapshots[hot].class_routed_work[job_class] -= out_work;
-        }
-        if (!snapshots[light].class_routed_work.empty()) {
-          snapshots[light].class_routed_work[job_class] += in_work;
-        }
-      }
-      active[hot].migrated_out += 1;
-      active[light].migrated_in += 1;
-      jobs_migrated_counter_->add();
-      shard_of_job_[context.job_ids[static_cast<std::size_t>(job.row)]] =
-          active[light].shard;
+      snapshots[hot].book_routed(job.job_class, out_work, -1);
+      snapshots[light].book_routed(job.job_class, in_work, 1);
+      active[hot].record.migrated_out += 1;
+      active[light].record.migrated_in += 1;
+      ++jobs_migrated;
     }
   }
 
@@ -697,16 +682,10 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
   std::vector<ShardRace> races;
   for (std::size_t s = 0; s < active.size(); ++s) {
     ActiveShard& entry = active[s];
-    if (entry.queue.empty()) {
-      // A shard that shed its whole queue still owes its migration
-      // counts (it may also have received jobs while it was light and
-      // shed them again once it turned hot).
-      ShardStats& stat = stats_[static_cast<std::size_t>(entry.shard)];
-      stat.migrated_in += entry.migrated_in;
-      stat.migrated_out += entry.migrated_out;
-      continue;
-    }
     const ShardSnapshot& shard = snapshots[s];
+    entry.record.jobs = static_cast<int>(entry.queue.size());
+    entry.record.backlog = shard.backlog();
+    if (entry.queue.empty()) continue;
     ShardRace race;
     race.active_index = s;
     race.sub = EtcMatrix(static_cast<int>(entry.queue.size()),
@@ -749,61 +728,52 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
   const double slice =
       config_.total_budget_ms / static_cast<double>(races.size());
   const bool concurrent = config_.concurrent_shards && races.size() > 1;
-  if (concurrent) {
-    // One group per shard: a group's wait drains exactly that shard's
-    // race, so the activations overlap instead of queueing behind a
-    // whole-pool barrier. Budgets are armed serially before any race
-    // starts (the portfolios are only ever touched by their own task).
-    std::vector<TaskGroup> groups;
-    groups.reserve(races.size());
-    for (ShardRace& race : races) {
-      const int shard_id = active[race.active_index].shard;
-      PortfolioBatchScheduler* scheduler =
-          shards_[static_cast<std::size_t>(shard_id)].get();
-      scheduler->set_budget_ms(slice);
-      groups.push_back(pool_.make_group());
-      ShardRace* slot = &race;
-      // The span opens inside the task, on the pool thread running this
-      // shard's race — so per-tid nesting holds and the member spans the
-      // portfolio emits sit inside it.
-      pool_.submit(groups.back(), [scheduler, slot, trace, shard_id] {
-        const obs::TraceSpan span(
-            trace, "shard_race", "shard",
-            {{"shard", shard_id},
-             {"jobs", slot->sub.num_jobs()}});
-        Stopwatch watch;
-        slot->plan = scheduler->schedule_batch(slot->sub, slot->sub_context);
-        slot->race_ms = watch.elapsed_ms();
-      });
-    }
-    // Wait on EVERY group even when one throws — the others still hold
-    // references into `races` — then rethrow with the multi-failure
-    // contract.
-    std::vector<std::exception_ptr> failures;
-    for (TaskGroup& group : groups) {
-      try {
-        group.wait();
-      } catch (...) {
-        failures.push_back(std::current_exception());
-      }
-    }
-    if (failures.size() == 1) std::rethrow_exception(failures.front());
-    if (failures.size() > 1) throw TaskGroupError(std::move(failures));
-  } else {
-    for (ShardRace& race : races) {
-      const int shard_id = active[race.active_index].shard;
-      PortfolioBatchScheduler& scheduler =
-          *shards_[static_cast<std::size_t>(shard_id)];
-      scheduler.set_budget_ms(slice);
-      const obs::TraceSpan span(trace, "shard_race", "shard",
-                                {{"shard", shard_id},
-                                 {"jobs", race.sub.num_jobs()}});
+  // One group per shard: a group's wait drains exactly that shard's race,
+  // so concurrent races overlap instead of queueing behind a whole-pool
+  // barrier, and sequential mode waits on each group before submitting
+  // the next shard's race. Budgets are armed serially before each race
+  // starts (the portfolios are only ever touched by their own task).
+  std::vector<TaskGroup> groups;
+  groups.reserve(races.size());
+  for (ShardRace& race : races) {
+    ShardActivationRecord& record = active[race.active_index].record;
+    const int shard_id = record.shard;
+    PortfolioBatchScheduler* scheduler =
+        shards_[static_cast<std::size_t>(shard_id)].get();
+    scheduler->set_budget_ms(slice);
+    record.budget_ms = slice;
+    groups.push_back(pool_.make_group());
+    ShardRace* slot = &race;
+    double* race_ms = &record.race_ms;
+    // The span opens inside the task, on the pool thread running this
+    // shard's race — so per-tid nesting holds and the member spans the
+    // portfolio emits sit inside it.
+    pool_.submit(groups.back(), [scheduler, slot, race_ms, trace, shard_id] {
+      const obs::TraceSpan span(
+          trace, "shard_race", "shard",
+          {{"shard", shard_id},
+           {"jobs", slot->sub.num_jobs()}});
       Stopwatch watch;
-      race.plan = scheduler.schedule_batch(race.sub, race.sub_context);
-      race.race_ms = watch.elapsed_ms();
+      slot->plan = scheduler->schedule_batch(slot->sub, slot->sub_context);
+      *race_ms = watch.elapsed_ms();
+    });
+    // Sequentially nothing else is in flight, so a failure may leave here.
+    if (!concurrent) groups.back().wait();
+  }
+  // Wait on EVERY group even when one throws — the others still hold
+  // references into `races` — then rethrow with the multi-failure
+  // contract. Groups already waited on return at once.
+  std::vector<std::exception_ptr> failures;
+  for (TaskGroup& group : groups) {
+    try {
+      group.wait();
+    } catch (...) {
+      failures.push_back(std::current_exception());
     }
   }
-  // --- Fold the slots back into the global plan and the books. ---
+  if (failures.size() == 1) std::rethrow_exception(failures.front());
+  if (failures.size() > 1) throw TaskGroupError(std::move(failures));
+  // --- Fold the slots back into the global plan. ---
   Schedule plan(etc.num_jobs());
   for (const ShardRace& race : races) {
     const ActiveShard& entry = active[race.active_index];
@@ -813,24 +783,6 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
           shard.columns[static_cast<std::size_t>(
               race.plan[static_cast<JobId>(row)])]);
     }
-    ShardStats& stat = stats_[static_cast<std::size_t>(shard.shard)];
-    ++stat.activations;
-    stat.jobs_scheduled += static_cast<int>(entry.queue.size());
-    stat.migrated_in += entry.migrated_in;
-    stat.migrated_out += entry.migrated_out;
-    stat.total_race_ms += race.race_ms;
-    stat.max_race_ms = std::max(stat.max_race_ms, race.race_ms);
-    stat.race_ms_hist.add(race.race_ms);
-    records_.push_back(ShardActivationRecord{
-        .activation = context.activation,
-        .shard = shard.shard,
-        .jobs = static_cast<int>(entry.queue.size()),
-        .migrated_in = entry.migrated_in,
-        .migrated_out = entry.migrated_out,
-        .backlog = shard.backlog(),
-        .budget_ms = slice,
-        .race_ms = race.race_ms,
-    });
   }
   // --- Seal the plan: rejected rows get their explicit kRejected gene,
   // and any OTHER still-unassigned row is rescued by a whole-batch MCT
@@ -856,9 +808,6 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
       }
     }
     plan[row] = best_column;
-    shard_of_job_[context.job_ids[static_cast<std::size_t>(row)]] =
-        shard_of_machine(
-            context.machine_ids[static_cast<std::size_t>(best_column)]);
     ++jobs_rerouted;
   }
 
@@ -867,8 +816,8 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
   // one of the critical machine's jobs strictly earlier, the job moves
   // there (plan_drain_steals). This is where a dying queue stops being a
   // one-partition problem: once neighbors drain, their idle machines
-  // absorb the last shard's stragglers. Every move updates the job map,
-  // the steal books, and hands the job's cache entry from the victim
+  // absorb the last shard's stragglers. Every move updates the plan and
+  // the steal counts, and hands the job's cache entry from the victim
   // portfolio to the thief's, so at most one cache knows each job.
   int jobs_stolen = 0;
   if (config_.drain_steal && active.size() > 1) {
@@ -881,12 +830,16 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
     }
     const std::vector<StealMove> steals =
         plan_drain_steals(etc, plan, column_shard, etc.num_jobs());
+    auto record_of = [&](int shard) -> ShardActivationRecord& {
+      return active[static_cast<std::size_t>(
+                        active_index[static_cast<std::size_t>(shard)])]
+          .record;
+    };
     for (const StealMove& steal : steals) {
       plan[steal.row] = static_cast<MachineId>(steal.to_column);
       const int job = context.job_ids[static_cast<std::size_t>(steal.row)];
-      shard_of_job_[job] = steal.to_shard;
-      stats_[static_cast<std::size_t>(steal.from_shard)].stolen_out += 1;
-      stats_[static_cast<std::size_t>(steal.to_shard)].stolen_in += 1;
+      record_of(steal.from_shard).stolen_out += 1;
+      record_of(steal.to_shard).stolen_in += 1;
       // Hand the warm-start entry to the thief — but only when its cache
       // has elites to extend (adopt_job is a no-op on an empty cache, and
       // erasing first would drop the entry from EVERY cache). When the
@@ -905,6 +858,15 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
     jobs_stolen = static_cast<int>(steals.size());
   }
 
+  // --- Keep the record of every shard that raced or moved jobs. ---
+  for (const ActiveShard& entry : active) {
+    const ShardActivationRecord& record = entry.record;
+    if (record.jobs > 0 || record.migrated_in > 0 || record.migrated_out > 0 ||
+        record.stolen_in > 0 || record.stolen_out > 0) {
+      records_.push_back(record);
+    }
+  }
+
   // The activation wall stops HERE so the record owns every serial cost
   // of the activation — fold and steal pass included, not just the
   // overlapped races. A regression that made stealing slow must show up
@@ -919,6 +881,8 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
       .jobs_rejected = jobs_rejected,
       .jobs_rerouted = jobs_rerouted,
   });
+  jobs_routed_counter_->add(etc.num_jobs() - jobs_rejected);
+  jobs_migrated_counter_->add(jobs_migrated);
   jobs_stolen_counter_->add(jobs_stolen);
   jobs_rejected_counter_->add(jobs_rejected);
   jobs_rerouted_counter_->add(jobs_rerouted);

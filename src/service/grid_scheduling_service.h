@@ -67,7 +67,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "portfolio/portfolio.h"
@@ -76,23 +75,27 @@
 
 namespace gridsched {
 
+/// Service knobs. Shard portfolios are built from PortfolioConfig
+/// defaults plus `member_stop`, a per-shard seed derived from `seed`, and
+/// a budget the service re-arms every activation from `total_budget_ms`.
 struct ServiceConfig {
   /// Initial shard count; dynamic scaling (below) may grow it.
   int num_shards = 4;
   RoutingKind routing = RoutingKind::kLeastBacklog;
   /// Wall-clock budget per service activation, split evenly over the
   /// shards that have queued work (a lone active shard gets all of it).
+  /// Must be finite and > 0.
   double total_budget_ms = 25.0;
   /// Rebalance trigger: migrate newest jobs away from the hottest shard
   /// while its backlog exceeds `imbalance_factor` times the lightest
-  /// shard's. Must be >= 1; 0 disables rebalancing.
+  /// shard's. Must be >= 1 (NaN is rejected); 0 disables rebalancing.
   double imbalance_factor = 2.0;
   /// Width of the shared racing pool; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Overlap the shard races on the shared pool (one TaskGroup per
-  /// shard). false = activate shards one at a time — same schedules on a
-  /// deterministic config, but the activation wall-clock is the SUM of
-  /// the slices instead of the slice.
+  /// Overlap the shard races on the shared pool. Each race runs in its own
+  /// TaskGroup either way; false waits on each group before submitting the
+  /// next shard's race — same schedules on a deterministic config, but the
+  /// activation wall-clock is the SUM of the slices instead of the slice.
   bool concurrent_shards = true;
   /// Dynamic shard scaling at activation boundaries (0 disables each
   /// bound): split the hottest shard while mean alive machines per active
@@ -139,23 +142,24 @@ struct ServiceConfig {
   /// When non-empty, the service appends one JSONL metrics-snapshot line
   /// per activation to this file (opened at construction, truncating).
   std::string metrics_jsonl_path;
-  /// Per-shard portfolio knobs (see PortfolioConfig).
-  PolicyKind policy = PolicyKind::kStaticRace;
-  UcbConfig ucb{};
-  FitnessWeights weights{};
+  /// Merged into every shard portfolio's member stop condition (see
+  /// PortfolioConfig::member_stop).
   StopCondition member_stop{};
-  bool warm_start = true;
-  int elite_capacity = 8;
   std::uint64_t seed = 1;
 };
 
-/// One shard's slice of one service activation.
+/// One shard's slice of one service activation — the service's only
+/// per-shard store (shard_stats() folds these). A shard gets a record when
+/// it raced, or when any job migrated or was stolen into or out of it;
+/// `jobs == 0` and `budget_ms == 0` mark a shard that did not race.
 struct ShardActivationRecord {
   std::uint64_t activation = 0;
   int shard = 0;
   int jobs = 0;          // jobs raced by this shard (after rebalancing)
   int migrated_in = 0;   // jobs received from hotter shards
   int migrated_out = 0;  // jobs shed to lighter shards
+  int stolen_in = 0;     // drain-tail steal moves landing here
+  int stolen_out = 0;    // steal moves this shard's stragglers lost
   double backlog = 0.0;  // ready-time sum + est. routed work, pre-race
   double budget_ms = 0.0;
   double race_ms = 0.0;  // wall time of this shard's portfolio race
@@ -188,22 +192,19 @@ struct ShardResizeEvent {
   int alive_machines = 0;  // grid pool size that triggered the step
 };
 
-/// Per-shard aggregate over all activations so far.
+/// Per-shard totals over all activations so far: a fold over the
+/// shard's ShardActivationRecords, computed on demand by shard_stats().
+/// A job migrated or stolen again later counts once per move.
 struct ShardStats {
   int shard = 0;
   int activations = 0;  // activations in which the shard raced
   int jobs_scheduled = 0;
   int migrated_in = 0;
   int migrated_out = 0;
-  int stolen_in = 0;   // steal moves landing here (a re-stolen job counts
-                       // once per move, like a re-migrated one)
-  int stolen_out = 0;  // steal moves this shard's stragglers lost
+  int stolen_in = 0;
+  int stolen_out = 0;
   double total_race_ms = 0.0;
   double max_race_ms = 0.0;
-  /// Distribution of this shard's per-activation race wall times — the
-  /// mean (total/activations) hides budget-overrun tails, so p99 race
-  /// latency reads from here.
-  LatencyHistogram race_ms_hist;
 };
 
 class GridSchedulingService final : public BatchScheduler {
@@ -227,21 +228,16 @@ class GridSchedulingService final : public BatchScheduler {
   /// shard count) — identical to the full map when scaling is disabled.
   [[nodiscard]] int shard_of_machine(int grid_machine) const noexcept;
 
-  /// Shard whose machine executes the job in the most recent activation —
-  /// the routed shard after rebalancing, or the thief shard when a
-  /// drain-tail steal moved the job; -1 if that batch did not contain it.
-  /// Scoped to one batch so a long-lived service's memory stays flat.
-  [[nodiscard]] int shard_of_job(int global_job) const noexcept;
-
   /// The portfolio serving one shard (its stats, activations and cache).
   [[nodiscard]] const PortfolioBatchScheduler& shard_scheduler(
       int shard) const {
     return *shards_.at(static_cast<std::size_t>(shard));
   }
 
-  [[nodiscard]] const std::vector<ShardStats>& shard_stats() const noexcept {
-    return stats_;
-  }
+  /// One entry per shard slot (index = shard id), folded from
+  /// shard_activations(): counts and race times are sums, `max_race_ms` a
+  /// max, and `activations` counts the records in which the shard raced.
+  [[nodiscard]] std::vector<ShardStats> shard_stats() const;
   [[nodiscard]] const std::vector<ShardActivationRecord>& shard_activations()
       const noexcept {
     return records_;
@@ -262,9 +258,10 @@ class GridSchedulingService final : public BatchScheduler {
     return admission_.stats();
   }
   /// The service's metric namespace: `service.*` counters and histograms
-  /// plus every shard portfolio's `portfolio.shard<N>.*` — the registry
-  /// behind the per-activation JSONL stream and the driver's
-  /// migration/steal books.
+  /// plus every shard portfolio's `portfolio.shard<N>.*`. An export, not a
+  /// source of truth: the `service.jobs_*` counters are bumped once per
+  /// activation from the same lists the records are built from, and feed
+  /// the per-activation JSONL stream and snapshots.
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
     return metrics_;
   }
@@ -273,7 +270,7 @@ class GridSchedulingService final : public BatchScheduler {
   }
 
  private:
-  /// Adds one shard slot (portfolio + stats); returns its id.
+  /// Adds one shard slot (its portfolio); returns its id.
   int add_shard_slot();
   /// Assigns never-seen machines to their static default shard.
   void adopt_new_machines(const std::vector<int>& machine_ids);
@@ -288,12 +285,10 @@ class GridSchedulingService final : public BatchScheduler {
   std::vector<std::unique_ptr<PortfolioBatchScheduler>> shards_;
   std::unique_ptr<RoutingPolicy> router_;
   AdmissionController admission_;
-  std::vector<ShardStats> stats_;
   std::vector<ShardActivationRecord> records_;
   std::vector<ServiceActivationRecord> service_records_;
   std::vector<ShardResizeEvent> resizes_;
   std::unordered_map<int, int> machine_shard_;  // grid machine -> shard
-  std::unordered_map<int, int> shard_of_job_;
   std::string name_;
   std::uint64_t activation_ = 0;
   // Hysteresis: the activation of the last split/merge (cooldown anchor).

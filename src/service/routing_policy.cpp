@@ -33,6 +33,32 @@ std::size_t least_backlog_index(std::span<const ShardSnapshot> shards) {
   return best;
 }
 
+/// The estimated-completion pick (ties toward the lower index) shared by
+/// shard-MCT, class-backlog and deadline-aware routing: the shard's mean
+/// per-machine backlog (how long until *a* machine frees up), plus — when
+/// `classed` — the job class's queue per matched machine there, plus the
+/// job's best run time there.
+std::size_t least_completion_index(RoutedJob job, const EtcMatrix& etc,
+                                   std::span<const ShardSnapshot> shards,
+                                   bool classed) {
+  std::size_t best = 0;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const ShardSnapshot& shard = shards[s];
+    const double congestion =
+        shard.backlog() / static_cast<double>(shard.columns.size());
+    const double class_queue =
+        classed ? shard.class_queue(job.job_class) : 0.0;
+    const double score =
+        congestion + class_queue + shard_min_etc(etc, job.row, shard);
+    if (score < best_score) {
+      best_score = score;
+      best = s;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 std::string_view routing_name(RoutingKind kind) noexcept {
@@ -184,21 +210,7 @@ std::size_t BestFitRouting::route(RoutedJob job, const EtcMatrix& etc,
 
 std::size_t ShardMctRouting::route(RoutedJob job, const EtcMatrix& etc,
                                    std::span<const ShardSnapshot> shards) {
-  std::size_t best = 0;
-  double best_completion = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    // Estimated completion: the shard's mean per-machine backlog (how long
-    // until *a* machine frees up) plus the job's best run time there.
-    const double completion =
-        shards[s].backlog() /
-            static_cast<double>(shards[s].columns.size()) +
-        shard_min_etc(etc, job.row, shards[s]);
-    if (completion < best_completion) {
-      best_completion = completion;
-      best = s;
-    }
-  }
-  return best;
+  return least_completion_index(job, etc, shards, /*classed=*/false);
 }
 
 std::size_t ClassBacklogRouting::route(RoutedJob job, const EtcMatrix& etc,
@@ -208,34 +220,7 @@ std::size_t ClassBacklogRouting::route(RoutedJob job, const EtcMatrix& etc,
   if (job.job_class < 0 || shards.front().class_machines.empty()) {
     return least_backlog_index(shards);
   }
-  const auto job_class = static_cast<std::size_t>(job.job_class);
-  std::size_t best = 0;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const ShardSnapshot& shard = shards[s];
-    const double congestion =
-        shard.backlog() / static_cast<double>(shard.columns.size());
-    // My class's queue depth on its matched machines. A shard with no
-    // matched machine carries the whole class queue on one virtual slot —
-    // the class effectively has a single (slow) lane there.
-    const double matched =
-        shard.has_class(job.job_class)
-            ? static_cast<double>(
-                  shard.class_machines[job_class])
-            : 1.0;
-    const double class_queue =
-        (job_class < shard.class_routed_work.size()
-             ? shard.class_routed_work[job_class]
-             : 0.0) /
-        matched;
-    const double score =
-        congestion + class_queue + shard_min_etc(etc, job.row, shard);
-    if (score < best_score) {
-      best_score = score;
-      best = s;
-    }
-  }
-  return best;
+  return least_completion_index(job, etc, shards, /*classed=*/true);
 }
 
 std::size_t DeadlineAwareRouting::route(RoutedJob job, const EtcMatrix& etc,
@@ -245,32 +230,7 @@ std::size_t DeadlineAwareRouting::route(RoutedJob job, const EtcMatrix& etc,
   if (!std::isfinite(job.deadline)) return least_backlog_index(shards);
   const bool classed =
       job.job_class >= 0 && !shards.front().class_machines.empty();
-  std::size_t best = 0;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const ShardSnapshot& shard = shards[s];
-    const double congestion =
-        shard.backlog() / static_cast<double>(shard.columns.size());
-    double class_queue = 0.0;
-    if (classed) {
-      const auto job_class = static_cast<std::size_t>(job.job_class);
-      const double matched =
-          shard.has_class(job.job_class)
-              ? static_cast<double>(shard.class_machines[job_class])
-              : 1.0;
-      class_queue = (job_class < shard.class_routed_work.size()
-                         ? shard.class_routed_work[job_class]
-                         : 0.0) /
-                    matched;
-    }
-    const double score =
-        congestion + class_queue + shard_min_etc(etc, job.row, shard);
-    if (score < best_score) {
-      best_score = score;
-      best = s;
-    }
-  }
-  return best;
+  return least_completion_index(job, etc, shards, classed);
 }
 
 std::unique_ptr<RoutingPolicy> make_routing_policy(RoutingKind kind) {

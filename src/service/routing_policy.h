@@ -113,6 +113,31 @@ struct ShardSnapshot {
     return ready_sum + routed_work;
   }
 
+  /// Estimated work of `job_class` (>= 0) routed here this activation, per
+  /// matched machine. A shard with no matched machine carries the whole
+  /// class queue on one virtual slot — the class has a single (slow) lane.
+  [[nodiscard]] double class_queue(int job_class) const noexcept {
+    const auto index = static_cast<std::size_t>(job_class);
+    const double matched =
+        has_class(job_class) ? static_cast<double>(class_machines[index])
+                             : 1.0;
+    return (index < class_routed_work.size() ? class_routed_work[index]
+                                             : 0.0) /
+           matched;
+  }
+
+  /// Books (`jobs` = 1) or unbooks (`jobs` = -1, a migration away) one
+  /// routed job whose estimated work on this shard is `work`, in the
+  /// total and in its class's column.
+  void book_routed(int job_class, double work, int jobs) noexcept {
+    const double signed_work = jobs * work;
+    routed_work += signed_work;
+    routed_jobs += jobs;
+    if (job_class >= 0 && !class_routed_work.empty()) {
+      class_routed_work[static_cast<std::size_t>(job_class)] += signed_work;
+    }
+  }
+
   /// Whether the shard holds at least one alive machine of `job_class`.
   [[nodiscard]] bool has_class(int job_class) const noexcept {
     return job_class >= 0 &&

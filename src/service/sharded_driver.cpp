@@ -192,23 +192,15 @@ ShardedSimReport run_sharded(GridSimulator& sim,
     }
   }
 
-  // --- Scheduler-side aggregates from the service's own books. ---
+  // --- Scheduler-side books: one fold over the service's per-activation
+  // shard records. ---
   for (const ShardStats& stat : service.shard_stats()) {
     SimMetrics& metrics = report.per_shard[static_cast<std::size_t>(
         stat.shard)];
     metrics.activations = stat.activations;
     metrics.scheduler_cpu_ms = stat.total_race_ms;
-  }
-  // Service-wide totals read from the metrics registry — the one place
-  // the service counts cross-shard moves — instead of re-summing the
-  // per-shard books here (the summation and the counter could drift).
-  if (const obs::Counter* migrated =
-          service.metrics().find_counter("service.jobs_migrated")) {
-    report.migrations = static_cast<int>(migrated->value());
-  }
-  if (const obs::Counter* stolen =
-          service.metrics().find_counter("service.jobs_stolen")) {
-    report.steals = static_cast<int>(stolen->value());
+    report.migrations += stat.migrated_in;
+    report.steals += stat.stolen_in;
   }
   return report;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gridsched {
 namespace {
 
@@ -137,6 +139,18 @@ TEST(EvolutionTracker, DeadlineTokenExpires) {
   }
   EXPECT_TRUE(tracker.should_stop());
   EXPECT_TRUE(source.cancel_requested());
+}
+
+TEST(CancellationToken, HugeDeadlineSaturatesToNoDeadline) {
+  // 1e13 ms is past the int64 nanosecond range: the deadline must mean
+  // "never", not wrap around into one that already passed.
+  CancellationSource source;
+  source.set_deadline_in_ms(1e13);
+  EXPECT_FALSE(source.token().cancelled());
+  source.set_deadline_in_ms(std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(source.token().cancelled());
+  source.set_deadline_in_ms(-1.0);
+  EXPECT_TRUE(source.token().cancelled());
 }
 
 TEST(CancellationToken, DefaultTokenNeverCancels) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -561,10 +562,24 @@ TEST(Portfolio, SingleJobBatchShortcut) {
 TEST(Portfolio, RejectsBadConfigs) {
   PortfolioConfig config = deterministic_config();
   EXPECT_THROW(PortfolioBatchScheduler(config, {}), std::invalid_argument);
-  config.budget_ms = 0.0;
-  EXPECT_THROW(PortfolioBatchScheduler(
-                   config, PortfolioBatchScheduler::default_members(config)),
+  for (const double budget_ms :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    config.budget_ms = budget_ms;
+    EXPECT_THROW(PortfolioBatchScheduler(
+                     config, PortfolioBatchScheduler::default_members(config)),
+                 std::invalid_argument)
+        << budget_ms;
+  }
+  config.budget_ms = 25.0;
+  PortfolioBatchScheduler portfolio(
+      config, PortfolioBatchScheduler::default_members(config));
+  EXPECT_THROW(portfolio.set_budget_ms(std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
+  EXPECT_THROW(portfolio.set_budget_ms(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(portfolio.set_budget_ms(1e13));
 }
 
 TEST(Portfolio, RunsTheDynamicGridEndToEnd) {

@@ -35,6 +35,26 @@ ServiceConfig deterministic_config(int shards) {
   return config;
 }
 
+/// How many jobs the plan runs on each shard's machines (identity context:
+/// machine id = column).
+std::vector<int> plan_jobs_per_shard(const GridSchedulingService& service,
+                                     const Schedule& plan) {
+  std::vector<int> jobs(static_cast<std::size_t>(service.num_shards()), 0);
+  for (JobId job = 0; job < plan.num_jobs(); ++job) {
+    jobs[static_cast<std::size_t>(service.shard_of_machine(plan[job]))] += 1;
+  }
+  return jobs;
+}
+
+/// Jobs each shard raced, from the service's books.
+std::vector<int> scheduled_per_shard(const GridSchedulingService& service) {
+  std::vector<int> jobs;
+  for (const ShardStats& stat : service.shard_stats()) {
+    jobs.push_back(stat.jobs_scheduled);
+  }
+  return jobs;
+}
+
 /// The canonical dying-queue shape: every job is fastest on machine 0, so
 /// an affinity router piles the whole batch onto machine 0's shard while
 /// the rest of the pool idles — the fixture behind the rebalancing and
@@ -311,12 +331,24 @@ TEST(Service, RejectsBadConfigs) {
   ServiceConfig config = deterministic_config(2);
   config.num_shards = 0;
   EXPECT_THROW(GridSchedulingService{config}, std::invalid_argument);
-  config = deterministic_config(2);
-  config.total_budget_ms = 0.0;
-  EXPECT_THROW(GridSchedulingService{config}, std::invalid_argument);
-  config = deterministic_config(2);
-  config.imbalance_factor = 0.5;  // must be 0 (off) or >= 1
-  EXPECT_THROW(GridSchedulingService{config}, std::invalid_argument);
+  // Non-positive and non-finite budgets never reach the deadline cast.
+  for (const double budget_ms :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    config = deterministic_config(2);
+    config.total_budget_ms = budget_ms;
+    EXPECT_THROW(GridSchedulingService{config}, std::invalid_argument)
+        << budget_ms;
+  }
+  // Must be 0 (off) or >= 1; NaN would silently disable rebalancing.
+  for (const double factor :
+       {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    config = deterministic_config(2);
+    config.imbalance_factor = factor;
+    EXPECT_THROW(GridSchedulingService{config}, std::invalid_argument)
+        << factor;
+  }
 }
 
 TEST(Service, SchedulesEveryJobOntoItsOwnShard) {
@@ -324,14 +356,9 @@ TEST(Service, SchedulesEveryJobOntoItsOwnShard) {
   GridSchedulingService service(deterministic_config(2));
   const Schedule plan = service.schedule_batch(etc);
   ASSERT_TRUE(plan.complete(etc.num_machines()));
-  // The cardinal shard invariant: a job routed to shard s runs on one of
-  // shard s's machines (identity context: machine id = column).
-  for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    const int shard = service.shard_of_job(job);
-    ASSERT_GE(shard, 0);
-    EXPECT_EQ(service.shard_of_machine(plan[job]), shard)
-        << "job " << job << " escaped its shard";
-  }
+  // The cardinal shard invariant: the jobs shard s raced are exactly the
+  // jobs the plan runs on shard s's machines.
+  EXPECT_EQ(plan_jobs_per_shard(service, plan), scheduled_per_shard(service));
 }
 
 TEST(Service, RoundRobinAssignmentIsDeterministic) {
@@ -340,11 +367,11 @@ TEST(Service, RoundRobinAssignmentIsDeterministic) {
   config.routing = RoutingKind::kRoundRobin;
   config.imbalance_factor = 0.0;  // keep the routing decision untouched
   GridSchedulingService service(config);
-  (void)service.schedule_batch(etc);
+  const Schedule plan = service.schedule_batch(etc);
   // Machines 0..3 map to shards {0, 1, 0, 1}; round-robin alternates the
   // two available shards in arrival order.
   for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    EXPECT_EQ(service.shard_of_job(job), job % 2);
+    EXPECT_EQ(service.shard_of_machine(plan[job]), job % 2);
   }
 }
 
@@ -359,7 +386,7 @@ TEST(Service, NeverLosesToConstructiveHeuristics) {
   // must never lose is each shard's own safety net. The per-shard
   // portfolios assert exactly that internally; here we check the plan is
   // evaluable and finite end to end.
-  const Individual planned = make_individual(plan, etc, config.weights);
+  const Individual planned = make_individual(plan, etc, FitnessWeights{});
   EXPECT_GT(planned.fitness, 0.0);
   EXPECT_TRUE(std::isfinite(planned.fitness));
 }
@@ -402,10 +429,8 @@ TEST(Service, RebalancingShedsTheHotShard) {
   EXPECT_GT(jobs_per_shard[1], 0) << "light shard stayed starved";
 
   // Identity through migration: every job is still scheduled exactly once,
-  // on a machine of the shard that finally owns it.
-  for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    EXPECT_EQ(service.shard_of_machine(plan[job]), service.shard_of_job(job));
-  }
+  // on a machine of the shard that finally raced it.
+  EXPECT_EQ(plan_jobs_per_shard(service, plan), scheduled_per_shard(service));
 }
 
 TEST(Service, DisabledRebalancingNeverMigrates) {
@@ -424,7 +449,7 @@ TEST(Service, DisabledRebalancingNeverMigrates) {
 TEST(Service, WarmStartCachesAreShardIsolated) {
   const EtcMatrix etc = small_instance(30, 6);
   GridSchedulingService service(deterministic_config(2));
-  (void)service.schedule_batch(etc);
+  const Schedule first = service.schedule_batch(etc);
 
   std::set<int> seen_jobs;
   for (int shard = 0; shard < service.num_shards(); ++shard) {
@@ -435,7 +460,7 @@ TEST(Service, WarmStartCachesAreShardIsolated) {
           << "shard " << shard << " cached a foreign machine";
     }
     for (const int job : cache.stored_job_ids()) {
-      EXPECT_EQ(service.shard_of_job(job), shard);
+      EXPECT_EQ(service.shard_of_machine(first[job]), shard);
       EXPECT_TRUE(seen_jobs.insert(job).second)
           << "job " << job << " leaked into two shard caches";
     }
@@ -472,7 +497,6 @@ TEST(Service, AllJobsOnOneShardLosesAndDuplicatesNothing) {
   }
   EXPECT_EQ(scheduled, etc.num_jobs());
   for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    EXPECT_EQ(service.shard_of_job(job), 0);
     EXPECT_EQ(service.shard_of_machine(plan[job]), 0);
   }
 }
@@ -498,11 +522,9 @@ TEST(Service, ShardWithNoMachinesNeverReceivesAJob) {
       }
     }
     EXPECT_EQ(scheduled, etc.num_jobs()) << routing_name(routing);
-    for (JobId job = 0; job < etc.num_jobs(); ++job) {
-      EXPECT_EQ(service.shard_of_machine(plan[job]),
-                service.shard_of_job(job))
-          << routing_name(routing);
-    }
+    EXPECT_EQ(plan_jobs_per_shard(service, plan),
+              scheduled_per_shard(service))
+        << routing_name(routing);
   }
 }
 
@@ -535,7 +557,7 @@ TEST(Service, RebalancingWithAnEmptyHotShardIsANoOp) {
   }
   EXPECT_EQ(scheduled, etc.num_jobs());
   for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    EXPECT_EQ(service.shard_of_job(job), 1);
+    EXPECT_EQ(service.shard_of_machine(plan[job]), 1);
   }
 }
 
@@ -553,28 +575,34 @@ TEST(Service, SingleShardDegeneratesToOnePortfolio) {
 TEST(Service, ConcurrentAndSequentialActivationAgree) {
   // With evaluation-bounded members the committed schedules are
   // deterministic, so overlapping the shard races must not change them —
-  // the no-job-lost-or-duplicated contract of concurrent activation.
+  // the no-job-lost-or-duplicated contract of concurrent activation. A
+  // one-thread pool runs four shard races, each waiting on its own member
+  // tasks, through the same path without deadlock.
   const EtcMatrix etc = small_instance(36, 8);
-  ServiceConfig sequential = deterministic_config(4);
-  sequential.concurrent_shards = false;
-  ServiceConfig concurrent = deterministic_config(4);
-  concurrent.concurrent_shards = true;
-  GridSchedulingService service_seq(sequential);
-  GridSchedulingService service_conc(concurrent);
-  for (int round = 0; round < 3; ++round) {
-    const Schedule plan_seq = service_seq.schedule_batch(etc);
-    const Schedule plan_conc = service_conc.schedule_batch(etc);
-    EXPECT_EQ(plan_seq, plan_conc) << "round " << round;
-  }
-  ASSERT_FALSE(service_conc.service_activations().empty());
-  for (const ServiceActivationRecord& record :
-       service_conc.service_activations()) {
-    EXPECT_TRUE(record.concurrent);
-    EXPECT_GT(record.shards_raced, 1);
-  }
-  for (const ServiceActivationRecord& record :
-       service_seq.service_activations()) {
-    EXPECT_FALSE(record.concurrent);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ServiceConfig sequential = deterministic_config(4);
+    sequential.threads = threads;
+    sequential.concurrent_shards = false;
+    ServiceConfig concurrent = sequential;
+    concurrent.concurrent_shards = true;
+    GridSchedulingService service_seq(sequential);
+    GridSchedulingService service_conc(concurrent);
+    for (int round = 0; round < 3; ++round) {
+      const Schedule plan_seq = service_seq.schedule_batch(etc);
+      const Schedule plan_conc = service_conc.schedule_batch(etc);
+      EXPECT_EQ(plan_seq, plan_conc)
+          << "round " << round << ", threads " << threads;
+    }
+    ASSERT_FALSE(service_conc.service_activations().empty());
+    for (const ServiceActivationRecord& record :
+         service_conc.service_activations()) {
+      EXPECT_TRUE(record.concurrent);
+      EXPECT_GT(record.shards_raced, 1);
+    }
+    for (const ServiceActivationRecord& record :
+         service_seq.service_activations()) {
+      EXPECT_FALSE(record.concurrent);
+    }
   }
 }
 
@@ -603,7 +631,7 @@ TEST(Service, ClassBacklogRoutingKeepsClassedJobsOnMatchedShards) {
   ASSERT_TRUE(plan.complete(etc.num_machines()));
   for (JobId job = 0; job < etc.num_jobs(); ++job) {
     // Machine m has class m % 2; shard s == class s here.
-    EXPECT_EQ(service.shard_of_job(job), job % 2)
+    EXPECT_EQ(service.shard_of_machine(plan[job]), job % 2)
         << "job " << job << " routed off its class shard";
     EXPECT_EQ(plan[job] % 2, job % 2) << "job " << job << " ran off-class";
   }
@@ -649,9 +677,7 @@ TEST(Service, SplitGrowsThePartitionWhenThePoolOutgrowsTheBound) {
     scheduled += stat.jobs_scheduled;
   }
   EXPECT_EQ(scheduled, etc.num_jobs());
-  for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    EXPECT_EQ(service.shard_of_machine(plan[job]), service.shard_of_job(job));
-  }
+  EXPECT_EQ(plan_jobs_per_shard(service, plan), scheduled_per_shard(service));
 }
 
 TEST(Service, SplitMovesAliveCapacityNotJustCorpses) {
@@ -751,7 +777,7 @@ TEST(Service, DrainStealSpreadsTheDyingQueueOverThePool) {
   // (machine 0 dominates): the canonical drain-tail shape — one dying
   // queue, idle neighbors. With stealing on, the straggler machine's jobs
   // spill onto shard 1's idle machines, each job still executed exactly
-  // once on the machine the (post-steal) job map names.
+  // once, on the machine the (post-steal) plan names.
   const EtcMatrix etc = dying_queue_etc();
   ServiceConfig config = deterministic_config(2);
   config.routing = RoutingKind::kBestFit;
@@ -771,14 +797,17 @@ TEST(Service, DrainStealSpreadsTheDyingQueueOverThePool) {
   EXPECT_EQ(stolen_out, stolen_in);
   ASSERT_FALSE(service.service_activations().empty());
   EXPECT_EQ(service.service_activations().back().jobs_stolen, stolen_out);
-  // Post-steal coherence: the job map names the shard whose machine runs
-  // each job, and at least one job genuinely crossed the partition.
-  int crossed = 0;
-  for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    EXPECT_EQ(service.shard_of_machine(plan[job]), service.shard_of_job(job));
-    if (service.shard_of_job(job) == 1) ++crossed;
-  }
-  EXPECT_GT(crossed, 0);
+  // The thief never raced, yet its steals are on the books: it has a
+  // record of its own, marked as not raced.
+  const auto thief = std::find_if(
+      service.shard_activations().begin(), service.shard_activations().end(),
+      [](const ShardActivationRecord& record) { return record.shard == 1; });
+  ASSERT_NE(thief, service.shard_activations().end());
+  EXPECT_EQ(thief->jobs, 0);
+  EXPECT_DOUBLE_EQ(thief->budget_ms, 0.0);
+  EXPECT_EQ(thief->stolen_in, stolen_in);
+  // At least one job genuinely crossed the partition in the plan.
+  EXPECT_GT(plan_jobs_per_shard(service, plan)[1], 0);
 }
 
 TEST(Service, DrainStealOffKeepsTheStrictPartition) {
@@ -796,7 +825,7 @@ TEST(Service, DrainStealOffKeepsTheStrictPartition) {
     EXPECT_EQ(stat.stolen_in, 0);
   }
   for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    EXPECT_EQ(service.shard_of_job(job), 0);
+    EXPECT_EQ(service.shard_of_machine(plan[job]), 0);
   }
   ASSERT_FALSE(service.service_activations().empty());
   EXPECT_EQ(service.service_activations().back().jobs_stolen, 0);
@@ -827,10 +856,10 @@ TEST(Service, DrainStealHandsOffTheWarmStartCache) {
   ASSERT_FALSE(service.shard_scheduler(1).cache().empty());
 
   const EtcMatrix skewed = dying_queue_etc();
-  (void)service.schedule_batch(skewed);
+  const Schedule plan = service.schedule_batch(skewed);
   std::vector<int> stolen_jobs;
   for (JobId job = 0; job < skewed.num_jobs(); ++job) {
-    if (service.shard_of_job(job) == 1) stolen_jobs.push_back(job);
+    if (service.shard_of_machine(plan[job]) == 1) stolen_jobs.push_back(job);
   }
   ASSERT_FALSE(stolen_jobs.empty()) << "no steal to hand a cache entry off";
   const auto& victim_jobs = service.shard_scheduler(0).cache().stored_job_ids();
@@ -870,7 +899,43 @@ TEST(Service, StealOnWithChurnAndClassesReplaysExactly) {
   const ShardedSimReport report = run_sharded(sim, service);
   EXPECT_EQ(report.global.jobs_completed, report.global.jobs_arrived);
   EXPECT_GT(report.steals, 0) << "scenario never exercised the steal path";
+  EXPECT_GT(report.migrations, 0)
+      << "scenario never exercised the rebalance path";
   const std::vector<SimJobRecord> recorded = sim.job_records();
+
+  // The books agree: per-shard folds, the per-activation records, the
+  // exported counters and the driver report all count the same moves.
+  int migrated_in = 0;
+  int migrated_out = 0;
+  int stolen_in = 0;
+  int stolen_out = 0;
+  const std::vector<ShardStats> stats = service.shard_stats();
+  std::vector<double> race_ms(stats.size(), 0.0);
+  for (const ShardActivationRecord& record : service.shard_activations()) {
+    race_ms[static_cast<std::size_t>(record.shard)] += record.race_ms;
+  }
+  for (const ShardStats& stat : stats) {
+    migrated_in += stat.migrated_in;
+    migrated_out += stat.migrated_out;
+    stolen_in += stat.stolen_in;
+    stolen_out += stat.stolen_out;
+    EXPECT_DOUBLE_EQ(stat.total_race_ms,
+                     race_ms[static_cast<std::size_t>(stat.shard)])
+        << "shard " << stat.shard;
+  }
+  int jobs_stolen = 0;
+  for (const ServiceActivationRecord& record : service.service_activations()) {
+    jobs_stolen += record.jobs_stolen;
+  }
+  EXPECT_EQ(migrated_in, migrated_out);
+  EXPECT_EQ(migrated_in,
+            service.metrics().find_counter("service.jobs_migrated")->value());
+  EXPECT_EQ(migrated_in, report.migrations);
+  EXPECT_EQ(stolen_in, stolen_out);
+  EXPECT_EQ(stolen_in, jobs_stolen);
+  EXPECT_EQ(stolen_in,
+            service.metrics().find_counter("service.jobs_stolen")->value());
+  EXPECT_EQ(stolen_in, report.steals);
 
   SimConfig replay_config = sim_config;
   replay_config.workload =
@@ -902,14 +967,14 @@ TEST(Service, DrainStealKeepsTheEntryWhenTheThiefCacheIsEmpty) {
   config.imbalance_factor = 0.0;
   config.drain_steal = true;
   GridSchedulingService service(config);
-  (void)service.schedule_batch(etc);
+  const Schedule plan = service.schedule_batch(etc);
   int stolen = 0;
   for (const ShardStats& stat : service.shard_stats()) stolen += stat.stolen_out;
   ASSERT_GT(stolen, 0);
   EXPECT_TRUE(service.shard_scheduler(1).cache().empty());
   const auto& victim_jobs = service.shard_scheduler(0).cache().stored_job_ids();
   for (JobId job = 0; job < etc.num_jobs(); ++job) {
-    if (service.shard_of_job(job) != 1) continue;
+    if (service.shard_of_machine(plan[job]) != 1) continue;
     EXPECT_EQ(std::count(victim_jobs.begin(), victim_jobs.end(), job), 1)
         << "stolen job " << job << " vanished from every cache";
   }
