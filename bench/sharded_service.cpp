@@ -275,9 +275,6 @@ int main(int argc, char** argv) {
                        "it against bench/baselines/ with bench_diff)");
   cli.flag("trace", "", "run one extra traced configuration and write its "
                         "Chrome trace-event JSON to this path");
-  cli.flag("metrics-jsonl", "", "with --trace: stream one metrics-snapshot "
-                                "line per activation of the traced run to "
-                                "this path");
   cli.flag("pool-threads", "4", "racing pool width of the overlap "
                                 "comparison (>= 4 per the acceptance bar)");
   cli.flag("seed", "7", "base simulation seed");
@@ -749,7 +746,7 @@ int main(int argc, char** argv) {
 
   // --- Dedicated traced run: one class-mix configuration with every
   // subsystem engaged (stealing, resizing left at defaults), its Chrome
-  // trace and optional metrics JSONL written for CI to upload.
+  // trace written for CI to upload.
   if (!cli.get("trace").empty()) {
     SimConfig sim_config = base;
     sim_config.horizon = std::min(sim_config.horizon, 180.0);
@@ -772,7 +769,6 @@ int main(int argc, char** argv) {
     service_config.seed = sim_config.seed;
     obs::TraceRecorder recorder;
     service_config.trace = &recorder;
-    service_config.metrics_jsonl_path = cli.get("metrics-jsonl");
     (void)run_once(sim_config, service_config);
     if (recorder.write_file(cli.get("trace"))) {
       std::cout << "wrote " << cli.get("trace") << " ("

@@ -1,26 +1,17 @@
 #include "etc/cvb_instance.h"
 
-#include <algorithm>
+#include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "common/rng.h"
 
 namespace gridsched {
 
 std::string CvbInstanceSpec::name() const {
-  auto code = [](Consistency c) {
-    switch (c) {
-      case Consistency::kConsistent: return 'c';
-      case Consistency::kInconsistent: return 'i';
-      case Consistency::kSemiConsistent: return 's';
-    }
-    return '?';
-  };
   std::string label = "cvb_";
-  label += code(consistency);
-  label += '_' + std::to_string(static_cast<int>(v_task * 100));
-  label += '_' + std::to_string(static_cast<int>(v_machine * 100));
+  label += consistency_code(consistency);
+  label += '_' + std::to_string(std::lround(v_task * 100));
+  label += '_' + std::to_string(std::lround(v_machine * 100));
   return label;
 }
 
@@ -47,32 +38,7 @@ EtcMatrix generate_cvb_instance(const CvbInstanceSpec& spec) {
     }
   }
 
-  // Same consistency post-pass as the range-based generator.
-  if (spec.consistency == Consistency::kConsistent) {
-    std::vector<double> row(static_cast<std::size_t>(spec.num_machines));
-    for (JobId j = 0; j < spec.num_jobs; ++j) {
-      for (MachineId m = 0; m < spec.num_machines; ++m) {
-        row[static_cast<std::size_t>(m)] = etc(j, m);
-      }
-      std::sort(row.begin(), row.end());
-      for (MachineId m = 0; m < spec.num_machines; ++m) {
-        etc.set(j, m, row[static_cast<std::size_t>(m)]);
-      }
-    }
-  } else if (spec.consistency == Consistency::kSemiConsistent) {
-    std::vector<double> evens;
-    for (JobId j = 0; j < spec.num_jobs; ++j) {
-      evens.clear();
-      for (MachineId m = 0; m < spec.num_machines; m += 2) {
-        evens.push_back(etc(j, m));
-      }
-      std::sort(evens.begin(), evens.end());
-      std::size_t idx = 0;
-      for (MachineId m = 0; m < spec.num_machines; m += 2) {
-        etc.set(j, m, evens[idx++]);
-      }
-    }
-  }
+  impose_consistency(etc, spec.consistency);
   return etc;
 }
 

@@ -2,18 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace gridsched {
 namespace {
-
-char consistency_code(Consistency c) {
-  switch (c) {
-    case Consistency::kConsistent: return 'c';
-    case Consistency::kInconsistent: return 'i';
-    case Consistency::kSemiConsistent: return 's';
-  }
-  return '?';
-}
 
 std::string heterogeneity_code(Heterogeneity h) {
   return h == Heterogeneity::kHigh ? "hi" : "lo";
@@ -37,6 +29,44 @@ std::uint64_t class_seed(const InstanceSpec& spec, int k) {
 }
 
 }  // namespace
+
+char consistency_code(Consistency c) noexcept {
+  switch (c) {
+    case Consistency::kConsistent: return 'c';
+    case Consistency::kInconsistent: return 'i';
+    case Consistency::kSemiConsistent: return 's';
+  }
+  return '?';
+}
+
+void impose_consistency(EtcMatrix& etc, Consistency consistency) {
+  if (consistency == Consistency::kConsistent) {
+    std::vector<double> row(static_cast<std::size_t>(etc.num_machines()));
+    for (JobId j = 0; j < etc.num_jobs(); ++j) {
+      for (MachineId m = 0; m < etc.num_machines(); ++m) {
+        row[static_cast<std::size_t>(m)] = etc(j, m);
+      }
+      std::sort(row.begin(), row.end());
+      for (MachineId m = 0; m < etc.num_machines(); ++m) {
+        etc.set(j, m, row[static_cast<std::size_t>(m)]);
+      }
+    }
+  } else if (consistency == Consistency::kSemiConsistent) {
+    // Even-indexed columns form the consistent sub-matrix.
+    std::vector<double> evens;
+    for (JobId j = 0; j < etc.num_jobs(); ++j) {
+      evens.clear();
+      for (MachineId m = 0; m < etc.num_machines(); m += 2) {
+        evens.push_back(etc(j, m));
+      }
+      std::sort(evens.begin(), evens.end());
+      std::size_t idx = 0;
+      for (MachineId m = 0; m < etc.num_machines(); m += 2) {
+        etc.set(j, m, evens[idx++]);
+      }
+    }
+  }
+}
 
 std::string InstanceSpec::name(int k) const {
   std::string label = "u_";
@@ -126,33 +156,7 @@ EtcMatrix generate_instance(const InstanceSpec& spec, int k) {
     }
   }
 
-  // Impose the consistency structure by partially sorting rows.
-  if (spec.consistency == Consistency::kConsistent) {
-    std::vector<double> row(static_cast<std::size_t>(spec.num_machines));
-    for (JobId j = 0; j < spec.num_jobs; ++j) {
-      for (MachineId m = 0; m < spec.num_machines; ++m) {
-        row[static_cast<std::size_t>(m)] = etc(j, m);
-      }
-      std::sort(row.begin(), row.end());
-      for (MachineId m = 0; m < spec.num_machines; ++m) {
-        etc.set(j, m, row[static_cast<std::size_t>(m)]);
-      }
-    }
-  } else if (spec.consistency == Consistency::kSemiConsistent) {
-    // Even-indexed columns form the consistent sub-matrix.
-    std::vector<double> evens;
-    for (JobId j = 0; j < spec.num_jobs; ++j) {
-      evens.clear();
-      for (MachineId m = 0; m < spec.num_machines; m += 2) {
-        evens.push_back(etc(j, m));
-      }
-      std::sort(evens.begin(), evens.end());
-      std::size_t idx = 0;
-      for (MachineId m = 0; m < spec.num_machines; m += 2) {
-        etc.set(j, m, evens[idx++]);
-      }
-    }
-  }
+  impose_consistency(etc, spec.consistency);
   return etc;
 }
 

@@ -39,6 +39,15 @@ enum class Heterogeneity { kLow, kHigh };
   return h == Heterogeneity::kHigh ? 1000.0 : 10.0;
 }
 
+/// One-letter class code used in instance labels: 'c', 'i' or 's'.
+[[nodiscard]] char consistency_code(Consistency c) noexcept;
+
+/// Imposes a consistency class on a freshly drawn matrix, in place:
+/// consistent sorts every row ascending, semi-consistent sorts each row's
+/// even-indexed columns, inconsistent leaves the draws as they are. The
+/// post-pass both the range-based and the CVB generator apply.
+void impose_consistency(EtcMatrix& etc, Consistency consistency);
+
 /// Full description of one benchmark instance.
 struct InstanceSpec {
   int num_jobs = 512;

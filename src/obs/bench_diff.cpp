@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "benchutil/table.h"
-#include "obs/metrics_registry.h"
+#include "obs/bench_report.h"
 
 namespace gridsched::obs {
 

@@ -18,13 +18,26 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/stats.h"
+#include "obs/json.h"
 
 namespace gridsched::obs {
+
+/// Full-fidelity histogram export: sparse [bucket, count] pairs plus the
+/// range so a reader can reject a histogram recorded under different
+/// constants. Round-trips through histogram_from_json bit-exactly.
+[[nodiscard]] JsonValue histogram_to_json(const LatencyHistogram& histogram);
+
+/// Rebuilds a histogram exported by histogram_to_json; nullopt when the
+/// document is malformed or its range does not match this build's
+/// LatencyHistogram constants.
+[[nodiscard]] std::optional<LatencyHistogram> histogram_from_json(
+    const JsonValue& value);
 
 struct BenchVerdict {
   std::string name;

@@ -1,12 +1,11 @@
 // Minimal JSON value: parse, inspect, serialize.
 //
-// The observability layer speaks JSON in three places — Chrome trace
-// files, per-activation metric snapshots (JSONL), and the BENCH_*.json
-// perf artifacts bench_diff compares across commits — and the tests must
-// be able to load all three back. This is a deliberately small recursive-
-// descent implementation (objects keep insertion order, numbers are
-// doubles, \uXXXX decodes to UTF-8) rather than a third-party dependency:
-// the container builds offline.
+// The observability layer speaks JSON in two places — Chrome trace files
+// and the BENCH_*.json perf artifacts bench_diff compares across commits —
+// and the tests must be able to load both back. This is a deliberately
+// small recursive-descent implementation (objects keep insertion order,
+// numbers are doubles, \uXXXX decodes to UTF-8) rather than a third-party
+// dependency: the container builds offline.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 
 #include "common/cancellation.h"
 #include "common/stopwatch.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "qos/qos.h"
 
@@ -47,21 +46,6 @@ PortfolioBatchScheduler::PortfolioBatchScheduler(
   for (std::size_t i = 0; i < members_.size(); ++i) {
     stats_.push_back(MemberStats{std::string(members_[i]->name())});
     if (!members_[i]->negligible_cost()) expensive_.push_back(i);
-  }
-}
-
-void PortfolioBatchScheduler::bind_observability(obs::MetricsRegistry* metrics,
-                                                 obs::TraceRecorder* trace,
-                                                 std::string_view prefix) {
-  trace_ = trace;
-  races_counter_ = nullptr;
-  win_counters_.assign(members_.size(), nullptr);
-  if (metrics == nullptr) return;
-  const std::string base(prefix);
-  races_counter_ = &metrics->counter(base + ".races");
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    win_counters_[i] =
-        &metrics->counter(base + ".wins." + std::string(members_[i]->name()));
   }
 }
 
@@ -196,11 +180,6 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
     }
   }
   const double best_fitness = normalized[winner_slot].fitness;
-  if (races_counter_ != nullptr) races_counter_->add();
-  if (!win_counters_.empty() &&
-      win_counters_[runners[winner_slot].member] != nullptr) {
-    win_counters_[runners[winner_slot].member]->add();
-  }
 
   // --- Credit assignment and bookkeeping. ---
   for (std::size_t slot = 0; slot < runners.size(); ++slot) {

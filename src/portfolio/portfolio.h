@@ -26,8 +26,6 @@
 namespace gridsched {
 
 namespace obs {
-class Counter;
-class MetricsRegistry;
 class TraceRecorder;
 }  // namespace obs
 
@@ -144,15 +142,11 @@ class PortfolioBatchScheduler final : public BatchScheduler {
   /// partition change at the next activation.
   void seed_cache(const PopulationCache& cache) { cache_ = cache; }
 
-  /// Wires this portfolio into a shared metrics registry and/or trace
-  /// recorder (either may be null; both must outlive the scheduler).
-  /// Races count under `<prefix>.races`, wins under
-  /// `<prefix>.wins.<member name>`, and every member solve emits a
-  /// cat "member" trace span named after the member. The sharded service
-  /// binds each shard's portfolio with a per-shard prefix; an unbound
-  /// portfolio records nothing (PR 1-6 behavior).
-  void bind_observability(obs::MetricsRegistry* metrics,
-                          obs::TraceRecorder* trace, std::string_view prefix);
+  /// Binds a trace recorder (null = off; it must outlive the scheduler):
+  /// every member solve then emits a cat "member" span named after the
+  /// member. Races and wins are not counted here — they are
+  /// `activations().size()` and `member_stats()[i].wins`.
+  void bind_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
 
  private:
   PortfolioBatchScheduler(PortfolioConfig config,
@@ -171,10 +165,7 @@ class PortfolioBatchScheduler final : public BatchScheduler {
   std::vector<ActivationRecord> records_;
   std::string name_;
   std::uint64_t activation_ = 0;
-  // Observability handles (bind_observability); null = not recording.
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::Counter* races_counter_ = nullptr;
-  std::vector<obs::Counter*> win_counters_;  // parallel to members_
+  obs::TraceRecorder* trace_ = nullptr;  // bind_trace; null = not tracing
 };
 
 }  // namespace gridsched

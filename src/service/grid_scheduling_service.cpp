@@ -103,23 +103,6 @@ GridSchedulingService::GridSchedulingService(ServiceConfig config)
     throw std::invalid_argument(
         "Service: max_shards must be >= the initial num_shards");
   }
-  jobs_routed_counter_ = &metrics_.counter("service.jobs_routed");
-  jobs_migrated_counter_ = &metrics_.counter("service.jobs_migrated");
-  jobs_stolen_counter_ = &metrics_.counter("service.jobs_stolen");
-  jobs_rejected_counter_ = &metrics_.counter("service.jobs_rejected");
-  jobs_rerouted_counter_ = &metrics_.counter("service.jobs_rerouted");
-  splits_counter_ = &metrics_.counter("service.splits");
-  merges_counter_ = &metrics_.counter("service.merges");
-  activation_wall_histogram_ =
-      &metrics_.histogram("service.activation_wall_ms");
-  if (!config_.metrics_jsonl_path.empty()) {
-    metrics_jsonl_.open(config_.metrics_jsonl_path,
-                        std::ios::out | std::ios::trunc);
-    if (!metrics_jsonl_) {
-      throw std::invalid_argument("Service: cannot open metrics_jsonl_path " +
-                                  config_.metrics_jsonl_path);
-    }
-  }
   for (int shard = 0; shard < config_.num_shards; ++shard) {
     (void)add_shard_slot();
   }
@@ -130,8 +113,7 @@ int GridSchedulingService::add_shard_slot() {
   PortfolioConfig portfolio = shard_portfolio_config(config_, shard);
   shards_.push_back(std::make_unique<PortfolioBatchScheduler>(
       portfolio, PortfolioBatchScheduler::default_members(portfolio), pool_));
-  shards_.back()->bind_observability(
-      &metrics_, config_.trace, "portfolio.shard" + std::to_string(shard));
+  shards_.back()->bind_trace(config_.trace);
   return shard;
 }
 
@@ -350,7 +332,6 @@ void GridSchedulingService::maybe_resize(const EtcMatrix& etc,
           .machines_moved = moved,
           .alive_machines = alive_total,
       });
-      splits_counter_->add();
       if (config_.trace != nullptr) {
         config_.trace->instant("split", "resize",
                                {{"from", hot->shard},
@@ -393,7 +374,6 @@ void GridSchedulingService::maybe_resize(const EtcMatrix& etc,
           .machines_moved = moved,
           .alive_machines = alive_total,
       });
-      merges_counter_->add();
       if (config_.trace != nullptr) {
         config_.trace->instant("merge", "resize",
                                {{"from", emptied},
@@ -643,7 +623,6 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
   // lightest while the backlogs differ by more than the imbalance factor.
   // Each migration must strictly shrink the hot/light spread, which
   // guarantees termination and forbids ping-pong. ---
-  int jobs_migrated = 0;
   if (config_.imbalance_factor >= 1.0 && active.size() > 1) {
     const std::size_t max_migrations =
         static_cast<std::size_t>(etc.num_jobs());
@@ -672,7 +651,6 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
       snapshots[light].book_routed(job.job_class, in_work, 1);
       active[hot].record.migrated_out += 1;
       active[light].record.migrated_in += 1;
-      ++jobs_migrated;
     }
   }
 
@@ -881,27 +859,12 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
       .jobs_rejected = jobs_rejected,
       .jobs_rerouted = jobs_rerouted,
   });
-  jobs_routed_counter_->add(etc.num_jobs() - jobs_rejected);
-  jobs_migrated_counter_->add(jobs_migrated);
-  jobs_stolen_counter_->add(jobs_stolen);
-  jobs_rejected_counter_->add(jobs_rejected);
-  jobs_rerouted_counter_->add(jobs_rerouted);
-  activation_wall_histogram_->add(wall_ms);
   if (trace != nullptr) {
     trace->end("activation");
     // Flush at the boundary: every racing thread's buffer drains while no
     // race is in flight, so the central log grows between activations,
     // not during them.
     trace->flush();
-  }
-  if (metrics_jsonl_.is_open()) {
-    obs::JsonValue extra;
-    extra.set("activation", obs::JsonValue(static_cast<double>(
-                                context.activation)));
-    extra.set("wall_ms", obs::JsonValue(wall_ms));
-    extra.set("shards_raced",
-              obs::JsonValue(static_cast<double>(races.size())));
-    metrics_.write_jsonl_line(metrics_jsonl_, extra);
   }
   return plan;
 }

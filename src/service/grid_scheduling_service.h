@@ -60,14 +60,12 @@
 // records back into per-shard and per-class SimMetrics.
 #pragma once
 
-#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "portfolio/portfolio.h"
 #include "qos/admission.h"
@@ -139,9 +137,6 @@ struct ServiceConfig {
   /// outlive the service; the service flushes it at each activation
   /// boundary. See src/obs/trace_recorder.h for the span schema.
   obs::TraceRecorder* trace = nullptr;
-  /// When non-empty, the service appends one JSONL metrics-snapshot line
-  /// per activation to this file (opened at construction, truncating).
-  std::string metrics_jsonl_path;
   /// Merged into every shard portfolio's member stop condition (see
   /// PortfolioConfig::member_stop).
   StopCondition member_stop{};
@@ -257,14 +252,6 @@ class GridSchedulingService final : public BatchScheduler {
   [[nodiscard]] const AdmissionStats& admission_stats() const noexcept {
     return admission_.stats();
   }
-  /// The service's metric namespace: `service.*` counters and histograms
-  /// plus every shard portfolio's `portfolio.shard<N>.*`. An export, not a
-  /// source of truth: the `service.jobs_*` counters are bumped once per
-  /// activation from the same lists the records are built from, and feed
-  /// the per-activation JSONL stream and snapshots.
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
-    return metrics_;
-  }
   [[nodiscard]] const ServiceConfig& config() const noexcept {
     return config_;
   }
@@ -279,9 +266,6 @@ class GridSchedulingService final : public BatchScheduler {
 
   ServiceConfig config_;
   ThreadPool pool_;  // shared by every shard's portfolio race
-  // Declared before shards_: each shard portfolio binds handles into the
-  // registry, so it must be constructed first and destroyed last.
-  obs::MetricsRegistry metrics_;
   std::vector<std::unique_ptr<PortfolioBatchScheduler>> shards_;
   std::unique_ptr<RoutingPolicy> router_;
   AdmissionController admission_;
@@ -294,17 +278,6 @@ class GridSchedulingService final : public BatchScheduler {
   // Hysteresis: the activation of the last split/merge (cooldown anchor).
   std::uint64_t last_resize_activation_ = 0;
   bool resized_ever_ = false;
-  // Cached registry handles (registered once at construction; a handle
-  // add is an atomic bump, never a name lookup).
-  obs::Counter* jobs_routed_counter_ = nullptr;
-  obs::Counter* jobs_migrated_counter_ = nullptr;
-  obs::Counter* jobs_stolen_counter_ = nullptr;
-  obs::Counter* jobs_rejected_counter_ = nullptr;
-  obs::Counter* jobs_rerouted_counter_ = nullptr;
-  obs::Counter* splits_counter_ = nullptr;
-  obs::Counter* merges_counter_ = nullptr;
-  obs::Histogram* activation_wall_histogram_ = nullptr;
-  std::ofstream metrics_jsonl_;
 };
 
 }  // namespace gridsched

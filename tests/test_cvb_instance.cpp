@@ -119,6 +119,10 @@ TEST(CvbInstance, NameEncodesParameters) {
   spec.v_task = 0.9;
   spec.v_machine = 0.1;
   EXPECT_EQ(spec.name(), "cvb_s_90_10");
+  // 0.29 * 100 and 0.57 * 100 land just below the integer in binary.
+  spec.v_task = 0.29;
+  spec.v_machine = 0.57;
+  EXPECT_EQ(spec.name(), "cvb_s_29_57");
 }
 
 TEST(CvbInstance, RejectsBadParameters) {

@@ -24,6 +24,7 @@
 
 #include "cma/cma.h"
 #include "cma/sync_cma.h"
+#include "etc/cvb_instance.h"
 #include "etc/instance.h"
 #include "ga/steady_state_ga.h"
 #include "ga/struggle_ga.h"
@@ -144,6 +145,37 @@ TEST(GoldenPins, StruggleGa) {
   expect_pin(StruggleGa(cfg).run(pinned_instance()),
              {14955291288071606980ULL, 884780.27614783857, 25346491.925600864,
               1059624.1434483924, 3000});
+}
+
+/// Position-weighted checksum Σ (k+1)·ETC[k] in row-major order: pins every
+/// generated value and where it sits, so a reordered post-pass flips it too.
+double etc_checksum(const EtcMatrix& etc) {
+  double sum = 0.0;
+  double weight = 1.0;
+  for (JobId j = 0; j < etc.num_jobs(); ++j) {
+    for (MachineId m = 0; m < etc.num_machines(); ++m) {
+      sum += weight * etc(j, m);
+      weight += 1.0;
+    }
+  }
+  return sum;
+}
+
+// The CVB generator's draws and its consistency post-pass (shared with the
+// range-based generator), one small spec per consistency class.
+TEST(GoldenPins, CvbInstance) {
+  CvbInstanceSpec spec;
+  spec.num_jobs = 24;
+  spec.num_machines = 6;
+  spec.v_task = 0.9;
+  spec.v_machine = 0.3;
+  spec.seed = 5;
+  spec.consistency = Consistency::kConsistent;
+  EXPECT_EQ(etc_checksum(generate_cvb_instance(spec)), 13449175.159313938);
+  spec.consistency = Consistency::kInconsistent;
+  EXPECT_EQ(etc_checksum(generate_cvb_instance(spec)), 13382845.406823657);
+  spec.consistency = Consistency::kSemiConsistent;
+  EXPECT_EQ(etc_checksum(generate_cvb_instance(spec)), 13407287.498775903);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Observability layer: JSON round trips, trace span balance, registry
-// snapshot determinism, histogram export, and the bench_diff regression
-// gate (including the injected-synthetic-regression acceptance check).
+// Observability layer: JSON round trips, trace span balance, histogram
+// export, the bench_diff regression gate (including the injected-synthetic-
+// regression acceptance check), and the service's activation records.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "obs/bench_diff.h"
 #include "obs/bench_report.h"
 #include "obs/json.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "service/grid_scheduling_service.h"
 
@@ -210,71 +209,6 @@ TEST(TraceRecorder, FlushMidSpanSplitsBeginAndEndAcrossFlushes) {
   std::ostringstream out;
   recorder.write(out);
   expect_balanced(parse_trace(out.str()));
-}
-
-// -------------------------------------------------------------- registry --
-
-TEST(MetricsRegistry, HandlesAreStableAndFindable) {
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("service.jobs_routed");
-  counter.add(3);
-  EXPECT_EQ(&registry.counter("service.jobs_routed"), &counter);
-  ASSERT_NE(registry.find_counter("service.jobs_routed"), nullptr);
-  EXPECT_EQ(registry.find_counter("service.jobs_routed")->value(), 3);
-  EXPECT_EQ(registry.find_counter("absent"), nullptr);
-  EXPECT_EQ(registry.find_gauge("absent"), nullptr);
-  EXPECT_EQ(registry.find_histogram("absent"), nullptr);
-}
-
-TEST(MetricsRegistry, SnapshotSortsKeysAndCarriesAllKinds) {
-  obs::MetricsRegistry registry;
-  registry.counter("z.last").add(1);
-  registry.counter("a.first").add(2);
-  registry.gauge("m.gauge").set(0.5);
-  registry.histogram("h.latency").add(4.0);
-
-  const JsonValue snap = registry.snapshot();
-  const JsonValue* counters = snap.find("counters");
-  ASSERT_TRUE(counters != nullptr && counters->is_object());
-  ASSERT_EQ(counters->as_object().size(), 2u);
-  EXPECT_EQ(counters->as_object()[0].first, "a.first");
-  EXPECT_EQ(counters->as_object()[1].first, "z.last");
-  EXPECT_DOUBLE_EQ(snap.find("gauges")->find("m.gauge")->as_number(), 0.5);
-  const JsonValue* latency = snap.find("histograms")->find("h.latency");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_DOUBLE_EQ(latency->find("count")->as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(latency->find("mean")->as_number(), 4.0);
-}
-
-TEST(MetricsRegistry, JsonlLinePrependsExtraAndParses) {
-  obs::MetricsRegistry registry;
-  registry.counter("c").add(7);
-  JsonValue extra;
-  extra.set("activation", JsonValue(3.0));
-  std::ostringstream out;
-  registry.write_jsonl_line(out, extra);
-  const std::string line = out.str();
-  ASSERT_FALSE(line.empty());
-  EXPECT_EQ(line.back(), '\n');
-  const auto parsed = JsonValue::parse(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->as_object().front().first, "activation");
-  EXPECT_DOUBLE_EQ(parsed->find("counters")->find("c")->as_number(), 7.0);
-}
-
-TEST(MetricsRegistry, ConcurrentCountersLoseNothing) {
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("hits");
-  constexpr int kThreads = 4;
-  constexpr int kAddsPerThread = 10'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kAddsPerThread; ++i) counter.add();
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(counter.value(), kThreads * kAddsPerThread);
 }
 
 // ------------------------------------------------------ histogram export --
@@ -597,47 +531,78 @@ TEST(ServiceObservability, UntracedServiceRecordsNoEvents) {
   GridSchedulingService service(traced_config(2));
   const EtcMatrix etc = obs_instance(12, 4);
   (void)service.schedule_batch(etc);
-  // No recorder was attached; the registry still counts.
-  EXPECT_EQ(service.metrics().find_counter("service.jobs_routed")->value(),
-            12);
+  // No recorder was attached; the records still hold every routed job.
+  int jobs = 0;
+  for (const ShardActivationRecord& record : service.shard_activations()) {
+    jobs += record.jobs;
+  }
+  EXPECT_EQ(jobs, 12);
+  ASSERT_EQ(service.service_activations().size(), 1u);
+  EXPECT_EQ(service.service_activations()[0].jobs_rejected, 0);
 }
 
-TEST(ServiceObservability, RegistrySnapshotsAreDeterministicAcrossRuns) {
+/// Every record field except the wall-clock ones (`race_ms`, `wall_ms`),
+/// one line per record, so two runs compare as two strings.
+std::string records_without_timing(const GridSchedulingService& service) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const ServiceActivationRecord& r : service.service_activations()) {
+    out << "service " << r.activation << ' ' << r.shards_raced << ' '
+        << r.concurrent << ' ' << r.jobs_stolen << ' ' << r.jobs_rejected
+        << ' ' << r.jobs_rerouted << '\n';
+  }
+  for (const ShardActivationRecord& r : service.shard_activations()) {
+    out << "shard " << r.activation << ' ' << r.shard << ' ' << r.jobs << ' '
+        << r.migrated_in << ' ' << r.migrated_out << ' ' << r.stolen_in << ' '
+        << r.stolen_out << ' ' << r.backlog << ' ' << r.budget_ms << '\n';
+  }
+  for (const ShardResizeEvent& r : service.resize_events()) {
+    out << "resize " << r.activation << ' ' << r.split << ' ' << r.from_shard
+        << ' ' << r.to_shard << ' ' << r.machines_moved << ' '
+        << r.alive_machines << '\n';
+  }
+  for (int shard = 0; shard < service.num_shards(); ++shard) {
+    for (const ActivationRecord& r :
+         service.shard_scheduler(shard).activations()) {
+      out << "race " << shard << ' ' << r.activation << ' ' << r.batch_jobs
+          << ' ' << r.winner << ' ' << r.winner_name << ' ' << r.best_fitness
+          << ' ' << r.qos_pareto << ' ' << r.winner_missed << ' '
+          << r.winner_cost << '\n';
+    }
+  }
+  return out.str();
+}
+
+TEST(ServiceObservability, RecordsAreDeterministicAcrossRuns) {
   // Two identical deterministic services (evaluation-bounded members,
-  // concurrent shards) must land byte-identical counter snapshots — the
-  // property that makes registry counters diffable across commits.
+  // concurrent shards) must land identical records in every field but the
+  // wall-clock ones — the property that makes the books diffable across
+  // commits.
   const EtcMatrix etc = obs_instance(30, 8);
   const auto run = [&etc] {
     GridSchedulingService service(traced_config(4));
     (void)service.schedule_batch(etc);
     (void)service.schedule_batch(etc);
-    return service.metrics().snapshot().find("counters")->dump();
+    return records_without_timing(service);
   };
   const std::string first = run();
   const std::string second = run();
-  EXPECT_FALSE(first.empty());
+  EXPECT_NE(first.find("race "), std::string::npos);
   EXPECT_EQ(first, second);
 }
 
-TEST(ServiceObservability, PortfolioWinCountersSumToRaces) {
+TEST(ServiceObservability, PortfolioWinsSumToRaces) {
   GridSchedulingService service(traced_config(2));
   const EtcMatrix etc = obs_instance(20, 6);
   (void)service.schedule_batch(etc);
-  const obs::MetricsRegistry& metrics = service.metrics();
   for (int shard = 0; shard < 2; ++shard) {
-    const std::string prefix = "portfolio.shard" + std::to_string(shard);
-    const obs::Counter* races = metrics.find_counter(prefix + ".races");
-    ASSERT_NE(races, nullptr) << prefix;
-    EXPECT_EQ(races->value(), 1);
-    std::int64_t wins = 0;
-    // Named on purpose: find()'s pointer must not outlive the snapshot.
-    const JsonValue snap = metrics.snapshot();
-    for (const auto& [key, value] : snap.find("counters")->as_object()) {
-      if (key.rfind(prefix + ".wins.", 0) == 0) {
-        wins += static_cast<std::int64_t>(value.as_number());
-      }
+    const PortfolioBatchScheduler& portfolio = service.shard_scheduler(shard);
+    EXPECT_EQ(portfolio.activations().size(), 1u) << "shard " << shard;
+    std::size_t wins = 0;
+    for (const MemberStats& stat : portfolio.member_stats()) {
+      wins += static_cast<std::size_t>(stat.wins);
     }
-    EXPECT_EQ(wins, races->value()) << prefix;
+    EXPECT_EQ(wins, portfolio.activations().size()) << "shard " << shard;
   }
 }
 

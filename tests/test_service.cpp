@@ -903,8 +903,8 @@ TEST(Service, StealOnWithChurnAndClassesReplaysExactly) {
       << "scenario never exercised the rebalance path";
   const std::vector<SimJobRecord> recorded = sim.job_records();
 
-  // The books agree: per-shard folds, the per-activation records, the
-  // exported counters and the driver report all count the same moves.
+  // The books agree: per-shard folds, the per-activation records and the
+  // driver report all count the same moves.
   int migrated_in = 0;
   int migrated_out = 0;
   int stolen_in = 0;
@@ -928,13 +928,9 @@ TEST(Service, StealOnWithChurnAndClassesReplaysExactly) {
     jobs_stolen += record.jobs_stolen;
   }
   EXPECT_EQ(migrated_in, migrated_out);
-  EXPECT_EQ(migrated_in,
-            service.metrics().find_counter("service.jobs_migrated")->value());
   EXPECT_EQ(migrated_in, report.migrations);
   EXPECT_EQ(stolen_in, stolen_out);
   EXPECT_EQ(stolen_in, jobs_stolen);
-  EXPECT_EQ(stolen_in,
-            service.metrics().find_counter("service.jobs_stolen")->value());
   EXPECT_EQ(stolen_in, report.steals);
 
   SimConfig replay_config = sim_config;
