@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "bounds/lower_bound.h"
 #include "cma/crossover.h"
 #include "cma/local_search.h"
 #include "cma/mutation.h"
@@ -23,6 +24,7 @@
 #include "etc/instance.h"
 #include "heuristics/constructive.h"
 #include "obs/bench_report.h"
+#include "portfolio/portfolio.h"
 
 namespace gridsched {
 namespace {
@@ -237,6 +239,46 @@ void BM_MinMin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinMin)->Arg(128)->Arg(512);
+
+// The fixed floor one portfolio race pays per search member: population
+// seeding and its evaluation dominate a solve this short. The shape is one
+// shard of perfbench's swf-stream workload (24 jobs x 12 machines, 8
+// warm-start elites) under a 60-evaluation stop; the member's whole solve
+// is timed end to end.
+void BM_MemberFloor(benchmark::State& state, std::string_view member_name) {
+  const EtcMatrix etc = bench_instance(24, 12);
+  Rng rng(10);
+  std::vector<Schedule> warm;
+  for (int e = 0; e < 8; ++e) {
+    warm.push_back(Schedule::random(etc.num_jobs(), etc.num_machines(), rng));
+  }
+  auto members = PortfolioBatchScheduler::default_members(PortfolioConfig{});
+  PortfolioMember* member = nullptr;
+  for (const auto& candidate : members) {
+    if (candidate->name() == member_name) member = candidate.get();
+  }
+  if (member == nullptr) {
+    state.SkipWithError("unknown portfolio member");
+    return;
+  }
+  const StopCondition stop{.max_evaluations = 60};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(member->solve(etc, stop, warm, /*seed=*/1));
+  }
+}
+BENCHMARK_CAPTURE(BM_MemberFloor, StruggleGA, "StruggleGA");
+BENCHMARK_CAPTURE(BM_MemberFloor, cMA, "cMA");
+BENCHMARK_CAPTURE(BM_MemberFloor, cMA_sync, "cMA-sync");
+
+// Lagrangian-dual makespan bound on the paper's 512x16 u_c_hihi.0 (every
+// class costs about the same: the pivot budget binds on all twelve).
+void BM_MakespanBound(benchmark::State& state) {
+  const EtcMatrix etc = bench_instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bounds::makespan_bound(etc));
+  }
+}
+BENCHMARK(BM_MakespanBound);
 
 void BM_LjfrSjfr(benchmark::State& state) {
   const EtcMatrix etc = bench_instance();

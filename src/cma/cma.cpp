@@ -21,24 +21,25 @@ CellularMemeticAlgorithm::CellularMemeticAlgorithm(CmaConfig config)
 }
 
 std::vector<Individual> CellularMemeticAlgorithm::initialize_population(
-    const EtcMatrix& etc, Rng& rng) const {
+    ScheduleEvaluator& evaluator, Rng& rng) const {
+  const EtcMatrix& etc = evaluator.etc();
   const int pop_size = config_.pop_height * config_.pop_width;
   std::vector<Individual> population;
   population.reserve(static_cast<std::size_t>(pop_size));
 
   if (config_.init == InitKind::kLjfrSjfr) {
     const Schedule seed = ljfr_sjfr(etc);
-    population.push_back(make_individual(seed, etc, config_.weights));
+    population.push_back(make_individual(seed, evaluator, config_.weights));
     for (int i = 1; i < pop_size; ++i) {
       Schedule perturbed = seed;
       perturbed.perturb(config_.init_perturbation, etc.num_machines(), rng);
       population.push_back(
-          make_individual(std::move(perturbed), etc, config_.weights));
+          make_individual(std::move(perturbed), evaluator, config_.weights));
     }
   } else {
     for (int i = 0; i < pop_size; ++i) {
       population.push_back(make_individual(
-          Schedule::random(etc.num_jobs(), etc.num_machines(), rng), etc,
+          Schedule::random(etc.num_jobs(), etc.num_machines(), rng), evaluator,
           config_.weights));
     }
   }
@@ -47,7 +48,8 @@ std::vector<Individual> CellularMemeticAlgorithm::initialize_population(
 
 void CellularMemeticAlgorithm::apply_warm_start(
     std::vector<Individual>& population, std::span<const Schedule> warm,
-    const EtcMatrix& etc, EvolutionTracker* tracker) const {
+    ScheduleEvaluator& evaluator, EvolutionTracker* tracker) const {
+  const EtcMatrix& etc = evaluator.etc();
   // Cell 0 keeps the constructive seed; warm elites fill the next cells.
   std::size_t cell = 1;
   for (const Schedule& schedule : warm) {
@@ -58,7 +60,7 @@ void CellularMemeticAlgorithm::apply_warm_start(
           "CellularMemeticAlgorithm: warm-start schedule does not fit the "
           "instance");
     }
-    population[cell] = make_individual(schedule, etc, config_.weights);
+    population[cell] = make_individual(schedule, evaluator, config_.weights);
     if (tracker != nullptr) {
       tracker->count_evaluations();
       tracker->offer(population[cell]);
@@ -77,9 +79,11 @@ EvolutionResult CellularMemeticAlgorithm::run(
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
   // --- Initialize the mesh; improve every individual by local search. ---
-  std::vector<Individual> population = initialize_population(etc, rng);
-  apply_warm_start(population, warm, etc, &tracker);
+  // One evaluator for the whole run: it evaluates the mesh, then
+  // re-targets every offspring.
   ScheduleEvaluator evaluator(etc);
+  std::vector<Individual> population = initialize_population(evaluator, rng);
+  apply_warm_start(population, warm, evaluator, &tracker);
   for (Individual& individual : population) {
     evaluator.reset_to(individual.schedule);
     local_search(config_.local_search, config_.weights, evaluator, rng,

@@ -40,18 +40,21 @@ class CellularMemeticAlgorithm {
 
   [[nodiscard]] const CmaConfig& config() const noexcept { return config_; }
 
-  /// Builds the initial mesh population for an instance (exposed for tests
-  /// and for warm-started dynamic scheduling).
+  /// Builds the initial mesh population for `evaluator.etc()`, evaluating
+  /// every cell through the run's `evaluator` (exposed for tests and for
+  /// warm-started dynamic scheduling).
   [[nodiscard]] std::vector<Individual> initialize_population(
-      const EtcMatrix& etc, Rng& rng) const;
+      ScheduleEvaluator& evaluator, Rng& rng) const;
 
   /// Overwrites mesh cells [1, 1 + warm.size()) with the warm schedules
-  /// (shared by the async and sync engines). Throws if a schedule does not
-  /// fit the instance. When a tracker is given, each inserted elite is
-  /// offered (and counted) immediately, so a cancellation during mesh
-  /// initialization can never discard a warm-start best.
+  /// (shared by the async and sync engines), evaluated through the run's
+  /// `evaluator`. Throws if a schedule does not fit the instance. When a
+  /// tracker is given, each inserted elite is offered (and counted)
+  /// immediately, so a cancellation during mesh initialization can never
+  /// discard a warm-start best.
   void apply_warm_start(std::vector<Individual>& population,
-                        std::span<const Schedule> warm, const EtcMatrix& etc,
+                        std::span<const Schedule> warm,
+                        ScheduleEvaluator& evaluator,
                         EvolutionTracker* tracker = nullptr) const;
 
  private:

@@ -47,13 +47,14 @@ EvolutionResult SynchronousCellularMa::run(
   Rng init_rng(config_.seed);
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
-  // Initial mesh: same recipe as the asynchronous engine.
+  // Initial mesh: same recipe as the asynchronous engine, evaluated and
+  // improved through one evaluator.
   const CellularMemeticAlgorithm initializer(config_);
-  std::vector<Individual> current =
-      initializer.initialize_population(etc, init_rng);
-  initializer.apply_warm_start(current, warm, etc, &tracker);
+  std::vector<Individual> current;
   {
     ScheduleEvaluator evaluator(etc);
+    current = initializer.initialize_population(evaluator, init_rng);
+    initializer.apply_warm_start(current, warm, evaluator, &tracker);
     for (Individual& individual : current) {
       evaluator.reset_to(individual.schedule);
       Rng rng = init_rng.split();

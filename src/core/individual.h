@@ -21,12 +21,21 @@ struct Individual {
   }
 };
 
-/// Fully evaluates `schedule` against `etc` and packages it. O(n log n).
+/// Fully evaluates `schedule` through `evaluator` (a full reset(), so the
+/// result is bitwise what a fresh evaluator gives, whatever the
+/// evaluator held before) and packages it. O(n log n). Solver runs pass
+/// their one run-scoped evaluator; the forms taking an EtcMatrix build a
+/// throwaway one for one-off callers.
+[[nodiscard]] Individual make_individual(Schedule schedule,
+                                         ScheduleEvaluator& evaluator,
+                                         const FitnessWeights& weights);
 [[nodiscard]] Individual make_individual(Schedule schedule,
                                          const EtcMatrix& etc,
                                          const FitnessWeights& weights);
 
 /// Re-evaluates an individual in place (after its schedule was mutated).
+void evaluate_individual(Individual& individual, ScheduleEvaluator& evaluator,
+                         const FitnessWeights& weights);
 void evaluate_individual(Individual& individual, const EtcMatrix& etc,
                          const FitnessWeights& weights);
 

@@ -22,13 +22,15 @@ EvolutionResult BraunGa::run(const EtcMatrix& etc) const {
   Rng rng(config_.seed);
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
+  // One evaluator for the whole run: it evaluates the seeds, then
+  // re-targets every child.
+  ScheduleEvaluator evaluator(etc);
   std::vector<Individual> population =
-      seed_population(config_.population_size, config_.seeding, etc,
+      seed_population(config_.population_size, config_.seeding, evaluator,
                       config_.weights, rng, config_.stop.cancel);
   tracker.count_evaluations(config_.population_size);
   for (const auto& individual : population) tracker.offer(individual);
 
-  ScheduleEvaluator evaluator(etc);
   MutationScratch mutation_scratch;
   std::vector<Individual> next;
   next.reserve(population.size());

@@ -7,11 +7,12 @@
 namespace gridsched {
 
 std::vector<Individual> seed_population(int size, const GaSeeding& seeding,
-                                        const EtcMatrix& etc,
+                                        ScheduleEvaluator& evaluator,
                                         const FitnessWeights& weights,
                                         Rng& rng,
                                         const CancellationToken& cancel) {
   if (size <= 0) throw std::invalid_argument("seed_population: empty");
+  const EtcMatrix& etc = evaluator.etc();
   std::vector<Individual> population;
   population.reserve(static_cast<std::size_t>(size));
   for (HeuristicKind kind : seeding.heuristic_seeds) {
@@ -20,11 +21,11 @@ std::vector<Individual> seed_population(int size, const GaSeeding& seeding,
     const Schedule seed = kind == HeuristicKind::kMinMin
                               ? min_min(etc, cancel)
                               : construct_schedule(kind, etc, rng);
-    population.push_back(make_individual(seed, etc, weights));
+    population.push_back(make_individual(seed, evaluator, weights));
   }
   while (static_cast<int>(population.size()) < size) {
     population.push_back(make_individual(
-        Schedule::random(etc.num_jobs(), etc.num_machines(), rng), etc,
+        Schedule::random(etc.num_jobs(), etc.num_machines(), rng), evaluator,
         weights));
   }
   return population;

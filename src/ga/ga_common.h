@@ -23,14 +23,15 @@ struct GaSeeding {
   std::vector<HeuristicKind> heuristic_seeds;
 };
 
-/// Builds a population of `size` individuals: the heuristic seeds first,
-/// then uniform random schedules. `cancel` keeps seeding inside an
+/// Builds a population of `size` individuals for `evaluator.etc()`: the
+/// heuristic seeds first, then uniform random schedules, each evaluated
+/// through the run's `evaluator`. `cancel` keeps seeding inside an
 /// activation budget: once it fires, remaining heuristic seeds are skipped
 /// (the Min-Min seed itself runs budget-honoring) and the population is
 /// completed with cheap random schedules, so the caller always gets `size`
 /// evaluated individuals.
 [[nodiscard]] std::vector<Individual> seed_population(
-    int size, const GaSeeding& seeding, const EtcMatrix& etc,
+    int size, const GaSeeding& seeding, ScheduleEvaluator& evaluator,
     const FitnessWeights& weights, Rng& rng,
     const CancellationToken& cancel = {});
 

@@ -31,8 +31,11 @@ EvolutionResult SteadyStateGa::run(const EtcMatrix& etc) const {
   Rng rng(config_.seed);
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
+  // One evaluator for the whole run: it evaluates the seeds, then
+  // re-targets every child.
+  ScheduleEvaluator evaluator(etc);
   std::vector<Individual> population =
-      seed_population(config_.population_size, config_.seeding, etc,
+      seed_population(config_.population_size, config_.seeding, evaluator,
                       config_.weights, rng, config_.stop.cancel);
   tracker.count_evaluations(config_.population_size);
   for (const auto& individual : population) tracker.offer(individual);
@@ -44,7 +47,6 @@ EvolutionResult SteadyStateGa::run(const EtcMatrix& etc) const {
   std::vector<std::int64_t> birth(population.size(), 0);
   std::int64_t step_counter = 0;
 
-  ScheduleEvaluator evaluator(etc);
   MutationScratch mutation_scratch;
   Individual child;  // reused across steps; copy-assigns recycle capacity
   while (!tracker.should_stop()) {

@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace gridsched {
@@ -16,7 +15,7 @@ namespace {
 /// Structure-of-arrays hot path: `completion_` is one contiguous double
 /// array, and every per-job scan walks it in lockstep with the job's
 /// contiguous ETC row. The scans are split into branch-light passes (a
-/// pure min-reduction the compiler can vectorize, then an index-recovery
+/// pure min-reduction over four independent lanes, then an index-recovery
 /// pass) instead of one branchy argmin loop. Both passes compare the exact
 /// same `completion + etc` doubles the one-pass scan would, and FP min is
 /// exact, so the split reproduces the classic first-strict-minimum result
@@ -42,11 +41,13 @@ class MachineLoads {
   };
 
   /// Best plus the runner-up completion over the *other* machines
-  /// (Sufferage's "second-best earliest completion").
+  /// (Sufferage's "second-best earliest completion") and the first machine
+  /// that reaches it.
   struct BestAndSecond {
     MachineId machine;
     double completion;
-    double second;  // +infinity on single-machine instances
+    double second;            // +infinity on single-machine instances
+    MachineId second_machine;  // -1 on single-machine instances
   };
 
   /// Machine minimizing the completion time of job j (ties: lowest id),
@@ -54,13 +55,24 @@ class MachineLoads {
   [[nodiscard]] Best best(JobId j) const noexcept {
     const std::span<const double> row = etc_->row(j);
     const std::size_t m = completion_.size();
-    double best_c = completion_[0] + row[0];
-    for (std::size_t i = 1; i < m; ++i) {
-      best_c = std::min(best_c, completion_[i] + row[i]);
+    // Four lanes break the serial min dependency chain. The lane order
+    // cannot change the minimum's value, only (for a zero) its sign, so
+    // the result is read back from the first machine equal to it: that
+    // machine and its own sum are exactly the one-pass argmin's.
+    double lane[4];
+    lane[0] = lane[1] = lane[2] = lane[3] = completion_[0] + row[0];
+    std::size_t i = 1;
+    for (; i + 4 <= m; i += 4) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        lane[k] = std::min(lane[k], completion_[i + k] + row[i + k]);
+      }
     }
+    for (; i < m; ++i) lane[0] = std::min(lane[0], completion_[i] + row[i]);
+    const double min_c =
+        std::min(std::min(lane[0], lane[1]), std::min(lane[2], lane[3]));
     std::size_t arg = 0;
-    while (arg + 1 < m && completion_[arg] + row[arg] != best_c) ++arg;
-    return {static_cast<MachineId>(arg), best_c};
+    while (arg + 1 < m && completion_[arg] + row[arg] != min_c) ++arg;
+    return {static_cast<MachineId>(arg), completion_[arg] + row[arg]};
   }
 
   [[nodiscard]] MachineId best_machine(JobId j) const noexcept {
@@ -80,7 +92,13 @@ class MachineLoads {
       if (i == skip) continue;
       second = std::min(second, completion_[i] + row[i]);
     }
-    return {b.machine, b.completion, second};
+    std::size_t arg = 0;
+    while (arg < m && (arg == skip || completion_[arg] + row[arg] != second)) {
+      ++arg;
+    }
+    const MachineId second_machine =
+        arg < m ? static_cast<MachineId>(arg) : MachineId{-1};
+    return {b.machine, b.completion, second, second_machine};
   }
 
   /// Machine with the lowest current completion time (ties: lowest id).
@@ -100,7 +118,7 @@ class MachineLoads {
   std::vector<double> completion_;
 };
 
-/// Deadline tail of the O(n^2 m) batch heuristics: one MCT pass over the
+/// Deadline tail of the batch heuristics: one MCT pass over the
 /// not-yet-committed jobs (id order, earliest completion given the loads
 /// built so far). O(n m) — always affordable, and the schedule stays
 /// complete.
@@ -127,10 +145,32 @@ void round_robin_tail(Schedule& schedule, MachineLoads& loads,
   }
 }
 
-/// Shared skeleton of Max-Min / Sufferage: repeatedly score every
-/// unassigned job (the score function returns the target machine and the
-/// job's score in one fused scan) and commit the highest-scoring one; once
-/// `cancel` fires, the remaining jobs fall to the MCT tail.
+/// A job's cached pick: the machine it would go to, its score there, and
+/// the machines that pick depends on — `machine` always, plus `runner_up`
+/// for scores that read a second-best completion (-1 when none).
+struct Pick {
+  MachineId machine = -1;
+  MachineId runner_up = -1;
+  double score = 0.0;
+};
+
+/// Shared skeleton of Min-Min / Max-Min / Sufferage: repeatedly commit the
+/// unassigned job with the highest score (first strict maximum in
+/// `unassigned` order) to its target machine; once `cancel` fires, the
+/// remaining jobs fall to the MCT tail. `score_job` returns a job's Pick
+/// from the current loads.
+///
+/// Picks are cached in `picks`, parallel to `unassigned` (both shrink by
+/// the same swap-with-back removal), and a round re-scores only the jobs
+/// whose pick depends on the machine the previous round loaded. That is
+/// exact, not a heuristic: loads only grow and FP addition is monotone, so
+/// a machine outside a job's dependencies can neither become strictly
+/// better than its pick nor become an earlier tie — its cached pick is
+/// bitwise what a full rescan would compute. Precondition: every ETC
+/// entry is finite and >= 0 and every ready time is finite (true of every
+/// matrix the generators, read_instance and the simulator build). Other
+/// inputs still yield a complete schedule, but it may differ from the
+/// full-rescan one.
 template <typename ScoreFn>
 Schedule greedy_batch(const EtcMatrix& etc, const CancellationToken& cancel,
                       ScoreFn score_job) {
@@ -138,23 +178,30 @@ Schedule greedy_batch(const EtcMatrix& etc, const CancellationToken& cancel,
   MachineLoads loads(etc);
   std::vector<JobId> unassigned(static_cast<std::size_t>(etc.num_jobs()));
   std::iota(unassigned.begin(), unassigned.end(), 0);
+  // Every pick starts stale: the first round scores all jobs.
+  std::vector<Pick> picks(unassigned.size());
+  MachineId loaded = -1;
 
   while (!unassigned.empty() && !cancel.cancelled()) {
     std::size_t pick_idx = 0;
     double pick_score = -std::numeric_limits<double>::infinity();
-    MachineId pick_machine = 0;
     for (std::size_t i = 0; i < unassigned.size(); ++i) {
-      const JobId j = unassigned[i];
-      const auto [machine, score] = score_job(loads, j);
-      if (score > pick_score) {
-        pick_score = score;
+      Pick& pick = picks[i];
+      if (pick.machine < 0 || pick.machine == loaded ||
+          pick.runner_up == loaded) {
+        pick = score_job(loads, unassigned[i]);
+      }
+      if (pick.score > pick_score) {
+        pick_score = pick.score;
         pick_idx = i;
-        pick_machine = machine;
       }
     }
-    loads.assign(schedule, unassigned[pick_idx], pick_machine);
+    loaded = picks[pick_idx].machine;
+    loads.assign(schedule, unassigned[pick_idx], loaded);
     unassigned[pick_idx] = unassigned.back();
     unassigned.pop_back();
+    picks[pick_idx] = picks.back();
+    picks.pop_back();
   }
   mct_tail(schedule, loads, unassigned);
   return schedule;
@@ -288,30 +335,12 @@ Schedule min_min(const EtcMatrix& etc) {
 }
 
 Schedule min_min(const EtcMatrix& etc, const CancellationToken& cancel) {
-  Schedule schedule(etc.num_jobs());
-  MachineLoads loads(etc);
-  std::vector<JobId> unassigned(static_cast<std::size_t>(etc.num_jobs()));
-  std::iota(unassigned.begin(), unassigned.end(), 0);
-
-  while (!unassigned.empty() && !cancel.cancelled()) {
-    std::size_t pick_idx = 0;
-    double pick_score = std::numeric_limits<double>::infinity();
-    MachineId pick_machine = 0;
-    for (std::size_t i = 0; i < unassigned.size(); ++i) {
-      const auto b = loads.best(unassigned[i]);
-      if (b.completion < pick_score) {
-        pick_score = b.completion;
-        pick_idx = i;
-        pick_machine = b.machine;
-      }
-    }
-    loads.assign(schedule, unassigned[pick_idx], pick_machine);
-    unassigned[pick_idx] = unassigned.back();
-    unassigned.pop_back();
-  }
-
-  mct_tail(schedule, loads, unassigned);
-  return schedule;
+  // Highest score = smallest best completion: negation is exact, so the
+  // first strict maximum of -c is the first strict minimum of c.
+  return greedy_batch(etc, cancel, [](const MachineLoads& loads, JobId j) {
+    const auto b = loads.best(j);
+    return Pick{b.machine, -1, -b.completion};
+  });
 }
 
 Schedule max_min(const EtcMatrix& etc) {
@@ -321,7 +350,7 @@ Schedule max_min(const EtcMatrix& etc) {
 Schedule max_min(const EtcMatrix& etc, const CancellationToken& cancel) {
   return greedy_batch(etc, cancel, [](const MachineLoads& loads, JobId j) {
     const auto b = loads.best(j);
-    return std::pair<MachineId, double>{b.machine, b.completion};
+    return Pick{b.machine, -1, b.completion};
   });
 }
 
@@ -338,7 +367,7 @@ Schedule sufferage(const EtcMatrix& etc, const CancellationToken& cancel) {
         bs.second == std::numeric_limits<double>::infinity()
             ? 0.0
             : bs.second - bs.completion;
-    return std::pair<MachineId, double>{bs.machine, score};
+    return Pick{bs.machine, bs.second_machine, score};
   });
 }
 

@@ -68,10 +68,12 @@ enum class HeuristicKind {
 // unfired (or invalid) token yields the identical schedule, and a fired
 // one still returns a COMPLETE schedule via a strictly cheaper tail rule:
 //
-//   * the O(n^2 m) batch heuristics (Min-Min, Max-Min, Sufferage) poll
-//     between commit rounds and finish the tail with one O(n m) MCT pass
-//     (remaining jobs in id order, each to the machine that completes it
-//     earliest given the loads built so far);
+//   * the batch heuristics (Min-Min, Max-Min, Sufferage: n commit rounds,
+//     each an O(n) pick over cached scores plus re-scoring the jobs whose
+//     pick read the machine just loaded) poll between commit rounds and
+//     finish the tail with one O(n m) MCT pass (remaining jobs in id
+//     order, each to the machine that completes it earliest given the
+//     loads built so far);
 //   * the O(n m) one-pass heuristics (MCT, MET, OLB, LJFR-SJFR) poll
 //     every few jobs and dump the tail round-robin over the machines —
 //     O(1) per job, load-blind, but any complete answer beats busting
@@ -81,6 +83,10 @@ enum class HeuristicKind {
 [[nodiscard]] Schedule ljfr_sjfr(const EtcMatrix& etc);
 [[nodiscard]] Schedule ljfr_sjfr(const EtcMatrix& etc,
                                  const CancellationToken& cancel);
+// The batch heuristics' cached picks are exact — bitwise the schedule a
+// full O(n^2 m) rescan per round would build — provided every ETC entry
+// and ready time is finite and every ETC entry is >= 0 (constructive.cpp,
+// greedy_batch). Other inputs still yield a complete schedule.
 [[nodiscard]] Schedule min_min(const EtcMatrix& etc);
 [[nodiscard]] Schedule min_min(const EtcMatrix& etc,
                                const CancellationToken& cancel);

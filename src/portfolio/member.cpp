@@ -41,10 +41,10 @@ MemberResult HeuristicMember::solve(const EtcMatrix& etc,
   MemberResult result;
   // Every heuristic runs in its budget-honoring form: identical output
   // while the token stays quiet, a complete schedule from a cheap tail
-  // rule once the activation deadline fires (the O(n^2 m) batch
-  // heuristics would otherwise bust it by orders of magnitude on
-  // production-size batches, and even the O(n m) passes hurt at 10^5
-  // jobs).
+  // rule once the activation deadline fires (the batch heuristics' n
+  // commit rounds, each an O(n) pick, would otherwise bust it by orders
+  // of magnitude on production-size batches, and even the O(n m) passes
+  // hurt at 10^5 jobs).
   const Schedule schedule = construct_schedule(kind_, etc, rng, stop.cancel);
   result.best = make_individual(schedule, etc, weights_);
   result.elites = {result.best};

@@ -151,9 +151,10 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
   // --- Pick the winner under the portfolio's own weights (members could
   // carry different scalarizations; normalize before comparing). ---
   std::vector<Individual> normalized(runners.size());
+  ScheduleEvaluator evaluator(etc);
   for (std::size_t slot = 0; slot < runners.size(); ++slot) {
-    normalized[slot] =
-        make_individual(results[slot].best.schedule, etc, config_.weights);
+    normalized[slot] = make_individual(results[slot].best.schedule, evaluator,
+                                       config_.weights);
   }
   // QoS batches (any finite relative deadline) pick the winner on the
   // (makespan, missed deadlines, cost) Pareto front instead of scalar

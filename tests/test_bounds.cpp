@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -346,19 +345,14 @@ TEST(DualBound, NonPositiveBudgetReturnsTheCheapFloor) {
 
 TEST(DualBound, PaperShapeSmoke) {
   // The paper's 512x16 shape, where a dense simplex tableau would need
-  // tens of MiB: the default budget stays well under a second per class
-  // and lifts the bound clear of the cheap floor on every consistent and
-  // semi-consistent class.
+  // tens of MiB: the default budget lifts the bound clear of the cheap
+  // floor on every consistent and semi-consistent class. Its run time is
+  // the BM_MakespanBound row of bench/micro_ops, gated in CI.
   for (InstanceSpec spec : braun_benchmark_suite()) {
     const EtcMatrix etc = generate_instance(spec);  // 512x16 by default
     ASSERT_EQ(etc.num_jobs(), 512);
     ASSERT_EQ(etc.num_machines(), 16);
-    const auto start = std::chrono::steady_clock::now();
     const auto bound = bounds::makespan_bound(etc);
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    EXPECT_LT(seconds, 1.0) << spec.name();
     EXPECT_EQ(bound.lp_pivots, bounds::LpOptions{}.max_pivots);
     EXPECT_GE(bound.value, bound.cheap) << spec.name();
     if (spec.consistency != Consistency::kInconsistent) {

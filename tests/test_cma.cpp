@@ -184,7 +184,8 @@ TEST(Cma, InitialPopulationSeedsWithLjfrSjfr) {
   const EtcMatrix etc = small_instance();
   const CellularMemeticAlgorithm cma(fast_config());
   Rng rng(1);
-  const auto population = cma.initialize_population(etc, rng);
+  ScheduleEvaluator evaluator(etc);
+  const auto population = cma.initialize_population(evaluator, rng);
   ASSERT_EQ(population.size(), 25u);
   EXPECT_EQ(population[0].schedule, ljfr_sjfr(etc));
   // The rest are perturbed copies, not duplicates of the seed.

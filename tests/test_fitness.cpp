@@ -89,5 +89,53 @@ TEST(Individual, FromEvaluatorMatchesMakeIndividual) {
                    direct.objectives.makespan);
 }
 
+TEST(Individual, ReusedEvaluatorMatchesFreshEvaluatorBitwise) {
+  // The solver runs evaluate their seeds through one run-scoped evaluator.
+  // Whatever that evaluator held — dirty closed-form scalars from applied
+  // moves and swaps, a gene-diff re-target — the result must be bitwise
+  // the fresh-evaluator one.
+  InstanceSpec spec;
+  spec.num_jobs = 96;
+  spec.num_machines = 8;
+  spec.consistency = Consistency::kInconsistent;
+  EtcMatrix etc = generate_instance(spec);
+  etc.set_ready_time(3, 1234.5);
+  const FitnessWeights weights{};
+  Rng rng(11);
+  ScheduleEvaluator reused(etc);
+  reused.reset(Schedule::random(96, 8, rng));
+  for (int round = 0; round < 20; ++round) {
+    for (int edit = 0; edit < 16; ++edit) {
+      const JobId a = rng.uniform_int(0, 95);
+      const JobId b = rng.uniform_int(0, 95);
+      if (edit % 2 == 0 || reused.schedule()[a] == reused.schedule()[b]) {
+        const MachineId shift = 1 + rng.uniform_int(0, 6);
+        reused.apply_move(a, (reused.schedule()[a] + shift) % 8);
+      } else {
+        reused.apply_swap(a, b);
+      }
+    }
+    Schedule sibling = reused.schedule();
+    sibling.perturb(0.05, 8, rng);
+    reused.reset_to(sibling);
+
+    const Schedule target = Schedule::random(96, 8, rng);
+    const Individual through_reused = make_individual(target, reused, weights);
+    const Individual fresh = make_individual(target, etc, weights);
+    EXPECT_EQ(through_reused.schedule, fresh.schedule);
+    EXPECT_EQ(through_reused.objectives.makespan, fresh.objectives.makespan);
+    EXPECT_EQ(through_reused.objectives.flowtime, fresh.objectives.flowtime);
+    EXPECT_EQ(through_reused.fitness, fresh.fitness);
+
+    Individual in_place;
+    in_place.schedule = target;
+    reused.apply_move(0, (reused.schedule()[0] + 1) % 8);
+    evaluate_individual(in_place, reused, weights);
+    EXPECT_EQ(in_place.objectives.makespan, fresh.objectives.makespan);
+    EXPECT_EQ(in_place.objectives.flowtime, fresh.objectives.flowtime);
+    EXPECT_EQ(in_place.fitness, fresh.fitness);
+  }
+}
+
 }  // namespace
 }  // namespace gridsched

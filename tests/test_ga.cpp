@@ -24,9 +24,10 @@ EtcMatrix small_instance() {
 TEST(GaCommon, SeedPopulationInjectsHeuristicsThenRandom) {
   const EtcMatrix etc = small_instance();
   Rng rng(1);
+  ScheduleEvaluator evaluator(etc);
   const GaSeeding seeding{{HeuristicKind::kMinMin, HeuristicKind::kLjfrSjfr}};
   const auto population =
-      seed_population(10, seeding, etc, FitnessWeights{}, rng);
+      seed_population(10, seeding, evaluator, FitnessWeights{}, rng);
   ASSERT_EQ(population.size(), 10u);
   EXPECT_EQ(population[0].schedule, min_min(etc));
   EXPECT_EQ(population[1].schedule, ljfr_sjfr(etc));
@@ -44,8 +45,9 @@ TEST(GaCommon, SeedPopulationCancelledFallsBackToRandomFill) {
   source.request_cancel();
   // A fired budget skips the heuristic seeds entirely; the population is
   // still full-size and fully evaluated (random schedules are cheap).
-  const auto population =
-      seed_population(6, seeding, etc, FitnessWeights{}, rng, source.token());
+  ScheduleEvaluator evaluator(etc);
+  const auto population = seed_population(
+      6, seeding, evaluator, FitnessWeights{}, rng, source.token());
   ASSERT_EQ(population.size(), 6u);
   for (const auto& individual : population) {
     EXPECT_TRUE(individual.schedule.complete(etc.num_machines()));
@@ -58,8 +60,9 @@ TEST(GaCommon, SeedPopulationTruncatesExcessSeeds) {
   Rng rng(2);
   const GaSeeding seeding{
       {HeuristicKind::kMinMin, HeuristicKind::kMaxMin, HeuristicKind::kMct}};
+  ScheduleEvaluator evaluator(etc);
   const auto population =
-      seed_population(2, seeding, etc, FitnessWeights{}, rng);
+      seed_population(2, seeding, evaluator, FitnessWeights{}, rng);
   EXPECT_EQ(population.size(), 2u);
 }
 

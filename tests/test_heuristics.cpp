@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "etc/instance.h"
@@ -284,6 +289,170 @@ TEST_P(HeuristicSuiteTest, HeuristicsRespectReadyTimes) {
       on_blocked += (s[j] == 0) ? 1 : 0;
     }
     EXPECT_EQ(on_blocked, 0) << heuristic_name(kind);
+  }
+}
+
+// --- Full-rescan oracle for the batch heuristics. ---------------------------
+//
+// The library's Min-Min / Max-Min / Sufferage cache each job's pick and
+// re-score only the jobs whose pick read the machine just loaded. This is
+// the textbook O(n^2 m) form they must match bit for bit: every round
+// scores every unassigned job from scratch and commits the first strict
+// optimum in `unassigned` order (swap-with-back removal, like the library).
+
+enum class BatchRule { kMinMin, kMaxMin, kSufferage };
+
+Schedule naive_batch(const EtcMatrix& etc, BatchRule rule) {
+  const int n = etc.num_jobs();
+  const int m = etc.num_machines();
+  std::vector<double> load(etc.ready_times().begin(), etc.ready_times().end());
+  Schedule schedule(n);
+  std::vector<JobId> unassigned(static_cast<std::size_t>(n));
+  std::iota(unassigned.begin(), unassigned.end(), 0);
+  const double inf = std::numeric_limits<double>::infinity();
+  while (!unassigned.empty()) {
+    std::size_t pick_idx = 0;
+    MachineId pick_machine = 0;
+    double pick_key = rule == BatchRule::kMinMin ? inf : -inf;
+    for (std::size_t i = 0; i < unassigned.size(); ++i) {
+      const JobId j = unassigned[i];
+      MachineId best = 0;
+      double best_c = load[0] + etc(j, 0);
+      for (MachineId mm = 1; mm < m; ++mm) {
+        const double c = load[static_cast<std::size_t>(mm)] + etc(j, mm);
+        if (c < best_c) {
+          best_c = c;
+          best = mm;
+        }
+      }
+      double second = inf;
+      for (MachineId mm = 0; mm < m; ++mm) {
+        if (mm == best) continue;
+        second =
+            std::min(second, load[static_cast<std::size_t>(mm)] + etc(j, mm));
+      }
+      bool better = false;
+      switch (rule) {
+        case BatchRule::kMinMin:
+          better = best_c < pick_key;
+          if (better) pick_key = best_c;
+          break;
+        case BatchRule::kMaxMin:
+          better = best_c > pick_key;
+          if (better) pick_key = best_c;
+          break;
+        case BatchRule::kSufferage: {
+          const double key = second == inf ? 0.0 : second - best_c;
+          better = key > pick_key;
+          if (better) pick_key = key;
+          break;
+        }
+      }
+      if (better) {
+        pick_idx = i;
+        pick_machine = best;
+      }
+    }
+    const JobId j = unassigned[pick_idx];
+    schedule[j] = pick_machine;
+    load[static_cast<std::size_t>(pick_machine)] += etc(j, pick_machine);
+    unassigned[pick_idx] = unassigned.back();
+    unassigned.pop_back();
+  }
+  return schedule;
+}
+
+void expect_batch_heuristics_match_oracle(const EtcMatrix& etc,
+                                          const std::string& label) {
+  EXPECT_EQ(min_min(etc), naive_batch(etc, BatchRule::kMinMin)) << label;
+  EXPECT_EQ(max_min(etc), naive_batch(etc, BatchRule::kMaxMin)) << label;
+  EXPECT_EQ(sufferage(etc), naive_batch(etc, BatchRule::kSufferage)) << label;
+}
+
+TEST(BatchHeuristicOracle, MatchesFullRescanOnEveryClass) {
+  for (InstanceSpec spec : braun_benchmark_suite()) {
+    spec.num_jobs = 64;
+    spec.num_machines = 8;
+    expect_batch_heuristics_match_oracle(generate_instance(spec), spec.name());
+  }
+}
+
+/// ETC drawn from {1, 2, 3}: completions tie constantly, so any drift in
+/// the first-strict-optimum order (job order or machine order) shows.
+EtcMatrix tied_instance(int jobs, int machines, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(static_cast<std::size_t>(jobs * machines));
+  for (double& v : values) v = static_cast<double>(rng.uniform_int(1, 3));
+  return EtcMatrix(jobs, machines, std::move(values));
+}
+
+TEST(BatchHeuristicOracle, MatchesFullRescanUnderHeavyTies) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_batch_heuristics_match_oracle(tied_instance(40, 5, seed),
+                                         "seed " + std::to_string(seed));
+  }
+}
+
+TEST(BatchHeuristicOracle, MatchesFullRescanWithReadyTimes) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    EtcMatrix etc = tied_instance(48, 6, seed);
+    Rng rng(seed + 100);
+    for (MachineId mm = 0; mm < etc.num_machines(); ++mm) {
+      // Integer ready times keep the ties; fractional ones break them.
+      etc.set_ready_time(mm, seed % 2 == 0
+                                 ? static_cast<double>(rng.uniform_int(0, 6))
+                                 : rng.uniform(0.0, 10.0));
+    }
+    expect_batch_heuristics_match_oracle(etc, "seed " + std::to_string(seed));
+  }
+  InstanceSpec spec;
+  spec.num_jobs = 64;
+  spec.num_machines = 8;
+  EtcMatrix etc = generate_instance(spec);
+  for (MachineId mm = 0; mm < etc.num_machines(); ++mm) {
+    etc.set_ready_time(mm, 1000.0 * (mm + 1));
+  }
+  expect_batch_heuristics_match_oracle(etc, "u_c_hihi 64x8 + ready");
+}
+
+TEST(BatchHeuristicOracle, MatchesFullRescanAtDegenerateShapes) {
+  expect_batch_heuristics_match_oracle(tied_instance(30, 1, 7), "30x1");
+  expect_batch_heuristics_match_oracle(tied_instance(1, 6, 8), "1x6");
+  expect_batch_heuristics_match_oracle(tied_instance(1, 1, 9), "1x1");
+}
+
+/// FNV-1a over the genes (the golden-pin fingerprint).
+std::uint64_t schedule_hash(const Schedule& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (MachineId g : s.genes()) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(g));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Min-Min on the paper's 512x16 batches, pinned to the schedule the
+// full-rescan implementation built (same build caveat as the golden pins:
+// default Release flags, no FMA contraction).
+TEST(MinMin, PinnedOnPaperInstances) {
+  struct MinMinPin {
+    const char* label;
+    std::uint64_t hash;
+    double makespan;
+    double flowtime;
+  };
+  const MinMinPin pins[] = {
+      {"u_c_hihi.0", 0xcdfe395fa6f28c66ULL, 7971796.9015869787,
+       997760191.66325891},
+      {"u_i_hihi.0", 0x6b973e6a9d44103eULL, 3298186.6043280656,
+       331364416.0088464},
+  };
+  for (const MinMinPin& pin : pins) {
+    const EtcMatrix etc = generate_instance(*parse_instance_name(pin.label));
+    const Schedule s = min_min(etc);
+    EXPECT_EQ(schedule_hash(s), pin.hash) << pin.label;
+    EXPECT_EQ(makespan_of(s, etc), pin.makespan) << pin.label;
+    EXPECT_EQ(flowtime_of(s, etc), pin.flowtime) << pin.label;
   }
 }
 
