@@ -5,12 +5,12 @@
 // Four grid scenarios (consistent / inconsistent ETC, each with and
 // without machine churn) are replayed with the same arrival trace under
 // every scheduler: the constructive heuristics, the budgeted Struggle GA
-// and cMA, and the portfolio in both static-race and UCB mode. For each
-// scheduler we accumulate the *batch fitness* of every activation's
-// committed schedule (the quantity the portfolio optimizes) next to the
-// end-to-end simulation metrics, and we track per-activation scheduling
-// latency against the configured budget. `--seeds N` repeats every
-// scenario over N seeds and reports mean ± 95% CI (common/stats).
+// and cMA, and the racing portfolio. For each scheduler we accumulate the
+// *batch fitness* of every activation's committed schedule (the quantity
+// the portfolio optimizes) next to the end-to-end simulation metrics, and
+// we track per-activation scheduling latency against the configured
+// budget. `--seeds N` repeats every scenario over N seeds and reports
+// mean ± 95% CI (common/stats).
 #include <algorithm>
 #include <functional>
 #include <iostream>
@@ -135,20 +135,17 @@ int main(int argc, char** argv) {
     TablePrinter table({"scheduler", "jobs", "makespan (s)", "flowtime (s)",
                         "cum batch fitness", "mean lat (ms)", "max lat (ms)"});
     std::vector<Outcome> outcomes;
-    // Per-portfolio member-win scoreboard (who supplied the committed
+    // The portfolio's member-win scoreboard (who supplied the committed
     // schedule, summed over activations and seed repetitions) — the
     // docs/portfolio.md "which member earns its seat" evidence.
-    std::vector<std::pair<std::string, std::map<std::string, int>>>
-        scoreboards;
+    std::map<std::string, int> member_wins;
 
-    // Schedulers are stateful (warm caches, UCB credit), so every seed
-    // repetition gets a freshly built one via its factory.
+    // Schedulers are stateful (warm caches), so every seed repetition gets
+    // a freshly built one via its factory.
     using SchedulerFactory = std::function<std::unique_ptr<BatchScheduler>(
         std::uint64_t seed)>;
     auto simulate = [&](const SchedulerFactory& make_scheduler) {
       Outcome outcome;
-      std::map<std::string, int> member_wins;
-      bool is_portfolio = false;
       for (int rep = 0; rep < seeds; ++rep) {
         SimConfig run_sim = sim_config;
         run_sim.seed = sim_config.seed + static_cast<std::uint64_t>(rep);
@@ -169,14 +166,10 @@ int main(int argc, char** argv) {
         outcome.max_latency_ms.add(probe.max_latency_ms);
         if (const auto* portfolio = dynamic_cast<const PortfolioBatchScheduler*>(
                 scheduler.get())) {
-          is_portfolio = true;
           for (const MemberStats& stats : portfolio->member_stats()) {
             member_wins[stats.name] += stats.wins;
           }
         }
-      }
-      if (is_portfolio) {
-        scoreboards.emplace_back(outcome.scheduler, std::move(member_wins));
       }
       table.add_row({outcome.scheduler,
                      TablePrinter::num(outcome.jobs.mean(), 0),
@@ -206,36 +199,23 @@ int main(int argc, char** argv) {
     });
     const std::size_t num_single = outcomes.size();
 
-    // --- Portfolios. The static race fields every member concurrently;
-    // UCB concentrates the budget on one expensive member per activation
-    // (the right mode when cores are scarce) while MCT/Min-Min always
-    // race as the safety net. ---
+    // --- The portfolio: every member races every activation under one
+    // shared deadline, MCT/Min-Min as the safety net. ---
     simulate([&](std::uint64_t seed) {
       PortfolioConfig config;
       config.budget_ms = budget_ms;
       config.seed = seed;
-      return std::make_unique<PortfolioBatchScheduler>(
-          config, PortfolioBatchScheduler::default_members(config));
-    });
-    simulate([&](std::uint64_t seed) {
-      PortfolioConfig config;
-      config.budget_ms = budget_ms;
-      config.seed = seed;
-      config.policy = PolicyKind::kUcb;
-      config.ucb = UcbConfig{.exploration = 0.3, .max_active = 1};
       return std::make_unique<PortfolioBatchScheduler>(
           config, PortfolioBatchScheduler::default_members(config));
     });
 
     std::cout << "--- " << scenario.name << " ---\n";
     table.print(std::cout);
-    for (const auto& [portfolio_name, wins] : scoreboards) {
-      std::cout << "member wins (" << portfolio_name << "):";
-      for (const auto& [member, count] : wins) {
-        if (count > 0) std::cout << "  " << member << " " << count;
-      }
-      std::cout << "\n";
+    std::cout << "member wins (" << outcomes.back().scheduler << "):";
+    for (const auto& [member, count] : member_wins) {
+      if (count > 0) std::cout << "  " << member << " " << count;
     }
+    std::cout << "\n";
 
     double best_single = std::numeric_limits<double>::infinity();
     std::string best_single_name;
@@ -245,26 +225,19 @@ int main(int argc, char** argv) {
         best_single_name = outcomes[i].scheduler;
       }
     }
-    const Outcome* best_portfolio = &outcomes[num_single];
-    for (std::size_t i = num_single; i < outcomes.size(); ++i) {
-      if (outcomes[i].cumulative_fitness.mean() <
-          best_portfolio->cumulative_fitness.mean()) {
-        best_portfolio = &outcomes[i];
-      }
-    }
-    const bool wins = best_portfolio->cumulative_fitness.mean() <=
+    const Outcome& portfolio = outcomes.back();
+    const bool wins = portfolio.cumulative_fitness.mean() <=
                       best_single * (1.0 + 1e-9);
     if (wins) ++scenarios_where_portfolio_wins;
-    std::cout << "verdict: " << best_portfolio->scheduler
+    std::cout << "verdict: " << portfolio.scheduler
               << (wins ? " matches or beats " : " trails ")
               << "the best single member (" << best_single_name << ") by "
               << TablePrinter::pct(
-                     (best_single -
-                      best_portfolio->cumulative_fitness.mean()) /
+                     (best_single - portfolio.cumulative_fitness.mean()) /
                          best_single * 100.0,
                      2)
               << "% cumulative batch fitness; max portfolio latency "
-              << TablePrinter::num(best_portfolio->max_latency_ms.max(), 1)
+              << TablePrinter::num(portfolio.max_latency_ms.max(), 1)
               << " ms against a " << budget_ms << " ms budget\n\n";
   }
 

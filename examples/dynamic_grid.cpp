@@ -7,12 +7,11 @@
 // An event-driven grid receives a Poisson stream of jobs; every activation
 // period the pending batch is handed to a scheduler. We compare an
 // immediate-mode heuristic (MCT), Min-Min, the cMA with a small
-// per-activation budget, and the racing portfolio in UCB mode: MCT and
-// Min-Min always race as the safety net, while the UCB policy
-// (max_active = 1) gives the whole budget to the historically best of
-// {Struggle GA, async cMA, sync cMA}, warm-started from the previous
-// activation's elites. All runs share the arrival trace; --churn adds
-// machine failures and repairs.
+// per-activation budget, and the racing portfolio: all six members (MCT
+// and Min-Min as the safety net, Struggle GA, LAHC, async and sync cMA)
+// race every activation under one shared deadline, warm-started from the
+// previous activation's elites. All runs share the arrival trace; --churn
+// adds machine failures and repairs.
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -86,8 +85,6 @@ int main(int argc, char** argv) {
 
   PortfolioConfig portfolio_config;
   portfolio_config.budget_ms = cli.get_double("budget-ms");
-  portfolio_config.policy = PolicyKind::kUcb;
-  portfolio_config.ucb = UcbConfig{.exploration = 0.3, .max_active = 1};
   portfolio_config.seed = sim_config.seed;
   PortfolioBatchScheduler portfolio(
       portfolio_config,

@@ -8,6 +8,7 @@
 // each shard's portfolio spent its budget slice, and the per-shard slice
 // of the end-to-end metrics next to the global ones.
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "benchutil/table.h"
@@ -17,26 +18,25 @@
 int main(int argc, char** argv) {
   using namespace gridsched;
 
+  std::string routing_names;
+  for (const RoutingKind kind : all_routing_kinds()) {
+    if (!routing_names.empty()) routing_names += " | ";
+    routing_names += routing_name(kind);
+  }
   CliParser cli("Sharded scheduling service tour");
   cli.flag("shards", "3", "number of machine shards");
-  cli.flag("routing", "least-backlog",
-           "round-robin | least-backlog | best-fit | shard-mct");
+  cli.flag("routing", "least-backlog", routing_names);
   cli.flag("minutes", "5", "simulated minutes of job arrivals");
   cli.flag("rate", "4", "job arrivals per simulated second");
   cli.flag("machines", "24", "grid machines");
   cli.flag("budget-ms", "24", "total scheduling budget per activation");
   if (!cli.parse(argc, argv)) return 0;
 
-  RoutingKind routing = RoutingKind::kLeastBacklog;
-  bool known = false;
-  for (const RoutingKind kind : all_routing_kinds()) {
-    if (cli.get("routing") == routing_name(kind)) {
-      routing = kind;
-      known = true;
-    }
-  }
-  if (!known) {
-    std::cerr << "unknown routing policy: " << cli.get("routing") << "\n";
+  RoutingKind routing{};
+  try {
+    routing = routing_kind_from_name(cli.get("routing"));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << error.what() << "\n";
     return 1;
   }
 
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== " << service.name() << " on a " << sim_config.num_machines
             << "-machine class-structured grid ===\n"
-            << "router " << service.router_name() << ", "
+            << "router " << routing_name(routing) << ", "
             << service_config.total_budget_ms
             << " ms total budget per activation, machine churn enabled\n\n";
 
@@ -105,12 +105,10 @@ int main(int argc, char** argv) {
   // Peek inside one shard's portfolio: the same scoreboard the
   // single-queue example prints, but per shard.
   const PortfolioBatchScheduler& shard0 = service.shard_scheduler(0);
-  TablePrinter member_table({"member", "runs", "wins", "mean reward",
-                             "total ms"});
+  TablePrinter member_table({"member", "runs", "wins", "total ms"});
   for (const MemberStats& stat : shard0.member_stats()) {
     member_table.add_row({stat.name, std::to_string(stat.runs),
                           std::to_string(stat.wins),
-                          TablePrinter::num(stat.mean_reward(), 3),
                           TablePrinter::num(stat.total_ms, 1)});
   }
   std::cout << "shard 0 portfolio scoreboard ("

@@ -39,13 +39,6 @@ class PortfolioMember {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Members whose runtime is negligible against any realistic budget
-  /// (one-pass heuristics). The portfolio always races them and keeps the
-  /// budget policy focused on the expensive members.
-  [[nodiscard]] virtual bool negligible_cost() const noexcept {
-    return false;
-  }
-
   /// The weights `MemberResult::best.fitness` is scored under.
   [[nodiscard]] virtual FitnessWeights weights() const noexcept = 0;
 
@@ -57,15 +50,14 @@ class PortfolioMember {
                                            std::uint64_t seed) = 0;
 };
 
-/// One-pass constructive heuristic (MCT, Min-Min, ...). Negligible cost.
+/// One-pass constructive heuristic (MCT, Min-Min, ...). Reads only the
+/// stop condition's cancellation token, finishing with a cheap tail rule
+/// once it fires.
 class HeuristicMember final : public PortfolioMember {
  public:
   explicit HeuristicMember(HeuristicKind kind, FitnessWeights weights = {});
 
   [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] bool negligible_cost() const noexcept override {
-    return true;
-  }
   [[nodiscard]] FitnessWeights weights() const noexcept override {
     return weights_;
   }

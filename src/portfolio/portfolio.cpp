@@ -11,6 +11,12 @@
 #include "qos/qos.h"
 
 namespace gridsched {
+namespace {
+
+/// Elites each activation hands to the next one's warm start.
+constexpr int kEliteCapacity = 8;
+
+}  // namespace
 
 PortfolioBatchScheduler::PortfolioBatchScheduler(
     PortfolioConfig config,
@@ -32,20 +38,17 @@ PortfolioBatchScheduler::PortfolioBatchScheduler(
     std::unique_ptr<ThreadPool> owned_pool, ThreadPool* shared_pool)
     : config_(std::move(config)),
       members_(std::move(members)),
-      policy_(make_policy(config_.policy, config_.ucb)),
-      cache_(config_.elite_capacity),
+      cache_(kEliteCapacity),
       owned_pool_(shared_pool != nullptr
                       ? std::move(owned_pool)
                       : std::make_unique<ThreadPool>(config_.threads)),
-      pool_(shared_pool != nullptr ? shared_pool : owned_pool_.get()),
-      name_(std::string("Portfolio(") + std::string(policy_->name()) + ")") {
+      pool_(shared_pool != nullptr ? shared_pool : owned_pool_.get()) {
   if (members_.empty()) {
     throw std::invalid_argument("Portfolio: need at least one member");
   }
   set_budget_ms(config_.budget_ms);  // validates it
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    stats_.push_back(MemberStats{std::string(members_[i]->name())});
-    if (!members_[i]->negligible_cost()) expensive_.push_back(i);
+  for (const auto& member : members_) {
+    stats_.push_back(MemberStats{std::string(member->name())});
   }
 }
 
@@ -79,7 +82,7 @@ PortfolioBatchScheduler::default_members(const PortfolioConfig& config) {
 }
 
 std::string_view PortfolioBatchScheduler::name() const noexcept {
-  return name_;
+  return "Portfolio";
 }
 
 Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc) {
@@ -96,30 +99,20 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
     return s;
   }
 
-  const std::vector<Schedule> warm =
-      config_.warm_start ? cache_.warm_start(etc, context)
-                         : std::vector<Schedule>{};
+  const std::vector<Schedule> warm = cache_.warm_start(etc, context);
 
-  // --- Decide who races: free members always, expensive ones by policy. ---
-  const std::vector<double> shares = policy_->plan(expensive_.size());
-  struct Runner {
-    std::size_t member;
-    double share = 1.0;
-  };
-  std::vector<Runner> runners;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i]->negligible_cost()) runners.push_back({i, 1.0});
-  }
-  for (std::size_t e = 0; e < expensive_.size(); ++e) {
-    if (shares[e] > 0) runners.push_back({expensive_[e], shares[e]});
-  }
-
-  // --- Race them under one deadline. ---
+  // --- Race every member under one deadline. ---
   CancellationSource deadline;
   deadline.set_deadline_in_ms(config_.budget_ms);
+  StopCondition stop = config_.member_stop;
+  stop.cancel = deadline.token();
+  stop.max_time_ms = stop.max_time_ms > 0
+                         ? std::min(stop.max_time_ms, config_.budget_ms)
+                         : config_.budget_ms;
   std::uint64_t seed_state =
       config_.seed ^ (activation_ * 0x9e3779b97f4a7c15ULL);
-  std::vector<MemberResult> results(runners.size());
+  const std::size_t num_members = members_.size();
+  std::vector<MemberResult> results(num_members);
   Stopwatch race_watch;
   // The race runs in its own task group: waiting drains THIS portfolio's
   // members only (helping on the calling thread), so several portfolios —
@@ -127,18 +120,13 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
   // pool without false barriers, and a member failure here never leaks
   // into a neighboring race.
   TaskGroup race = pool_->make_group();
-  for (std::size_t slot = 0; slot < runners.size(); ++slot) {
-    const Runner runner = runners[slot];
-    StopCondition stop = config_.member_stop;
-    stop.cancel = deadline.token();
-    const double slice = config_.budget_ms * runner.share;
-    stop.max_time_ms =
-        stop.max_time_ms > 0 ? std::min(stop.max_time_ms, slice) : slice;
+  for (std::size_t i = 0; i < num_members; ++i) {
     const std::uint64_t seed = splitmix64(seed_state);
-    PortfolioMember* member = members_[runner.member].get();
-    MemberResult* out = &results[slot];
+    PortfolioMember* member = members_[i].get();
+    MemberResult* out = &results[i];
     // The span lives inside the task so it opens and closes on whichever
     // pool thread actually ran the solve — per-tid nesting stays correct.
+    // Each task polls its own copy of `stop`, not the caller's stack.
     obs::TraceRecorder* const trace = trace_;
     pool_->submit(race, [member, &etc, stop, &warm, seed, out, trace] {
       const obs::TraceSpan span(trace, member->name(), "member");
@@ -150,11 +138,11 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
 
   // --- Pick the winner under the portfolio's own weights (members could
   // carry different scalarizations; normalize before comparing). ---
-  std::vector<Individual> normalized(runners.size());
+  std::vector<Individual> normalized(num_members);
   ScheduleEvaluator evaluator(etc);
-  for (std::size_t slot = 0; slot < runners.size(); ++slot) {
-    normalized[slot] = make_individual(results[slot].best.schedule, evaluator,
-                                       config_.weights);
+  for (std::size_t i = 0; i < num_members; ++i) {
+    normalized[i] = make_individual(results[i].best.schedule, evaluator,
+                                    config_.weights);
   }
   // QoS batches (any finite relative deadline) pick the winner on the
   // (makespan, missed deadlines, cost) Pareto front instead of scalar
@@ -164,70 +152,54 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
   // are bitwise identical to before.
   const bool qos = qos_active(context.job_deadlines);
   std::vector<QosOutcome> qos_outcomes;
-  std::size_t winner_slot = 0;
+  std::size_t winner = 0;
   if (qos) {
-    qos_outcomes.reserve(runners.size());
+    qos_outcomes.reserve(num_members);
     for (const Individual& candidate : normalized) {
       qos_outcomes.push_back(evaluate_qos(candidate.schedule, etc,
                                           context.job_deadlines,
                                           context.machine_cost_rates));
     }
-    winner_slot = pick_qos_winner(normalized, qos_outcomes);
+    winner = pick_qos_winner(normalized, qos_outcomes);
   } else {
-    for (std::size_t slot = 1; slot < runners.size(); ++slot) {
-      if (normalized[slot].fitness < normalized[winner_slot].fitness) {
-        winner_slot = slot;
-      }
+    for (std::size_t i = 1; i < num_members; ++i) {
+      if (normalized[i].fitness < normalized[winner].fitness) winner = i;
     }
   }
-  const double best_fitness = normalized[winner_slot].fitness;
 
-  // --- Credit assignment and bookkeeping. ---
-  for (std::size_t slot = 0; slot < runners.size(); ++slot) {
-    const double reward = normalized[slot].fitness > 0
-                              ? best_fitness / normalized[slot].fitness
-                              : 1.0;
-    MemberStats& stat = stats_[runners[slot].member];
+  // --- Bookkeeping. ---
+  for (std::size_t i = 0; i < num_members; ++i) {
+    MemberStats& stat = stats_[i];
     ++stat.runs;
-    if (slot == winner_slot) ++stat.wins;
-    stat.total_ms += results[slot].elapsed_ms;
-    stat.total_reward += reward;
-    stat.evaluations += results[slot].evaluations;
-    const auto expensive_index =
-        std::find(expensive_.begin(), expensive_.end(), runners[slot].member);
-    if (expensive_index != expensive_.end()) {
-      policy_->record(
-          static_cast<std::size_t>(expensive_index - expensive_.begin()),
-          reward, results[slot].elapsed_ms);
-    }
+    if (i == winner) ++stat.wins;
+    stat.total_ms += results[i].elapsed_ms;
+    stat.evaluations += results[i].evaluations;
   }
 
   // --- Feed the warm-start cache with this activation's elites. ---
-  if (config_.warm_start) {
-    std::vector<Individual> elites;
-    for (MemberResult& result : results) {
-      for (Individual& individual : result.elites) {
-        elites.push_back(std::move(individual));
-      }
+  std::vector<Individual> elites;
+  for (MemberResult& result : results) {
+    for (Individual& individual : result.elites) {
+      elites.push_back(std::move(individual));
     }
-    cache_.store(context, elites);
   }
+  cache_.store(context, elites);
 
   ActivationRecord record;
   record.activation = context.activation;
   record.batch_jobs = etc.num_jobs();
-  record.winner = static_cast<int>(runners[winner_slot].member);
-  record.winner_name = stats_[runners[winner_slot].member].name;
-  record.best_fitness = best_fitness;
+  record.winner = static_cast<int>(winner);
+  record.winner_name = stats_[winner].name;
+  record.best_fitness = normalized[winner].fitness;
   record.race_ms = race_ms;
   if (qos) {
     record.qos_pareto = true;
-    record.winner_missed = qos_outcomes[winner_slot].missed;
-    record.winner_cost = qos_outcomes[winner_slot].total_cost;
+    record.winner_missed = qos_outcomes[winner].missed;
+    record.winner_cost = qos_outcomes[winner].total_cost;
   }
   records_.push_back(std::move(record));
 
-  return std::move(normalized[winner_slot].schedule);
+  return std::move(normalized[winner].schedule);
 }
 
 }  // namespace gridsched

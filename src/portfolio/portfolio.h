@@ -4,10 +4,9 @@
 // (constructive heuristics, Struggle GA, async/sync cMA) concurrently on a
 // thread pool, all under one shared wall-clock budget enforced by a
 // cancellation token (common/cancellation.h), and commits the schedule
-// with the best batch fitness. Cheap one-pass heuristics always race — they
-// are the safety net that makes the portfolio never worse than its best
-// constructive member — while a BudgetPolicy decides which expensive
-// members run (static: all of them; UCB: the historically most rewarding).
+// with the best batch fitness. Every member races every activation; the
+// one-pass heuristics among them are the safety net that makes the
+// portfolio never worse than its best constructive member.
 // A PopulationCache carries each activation's elite schedules to the next,
 // remapped to the new batch, so the cMA members start from yesterday's
 // answer instead of from scratch.
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "portfolio/budget_policy.h"
 #include "portfolio/member.h"
 #include "portfolio/population_cache.h"
 #include "sim/batch_scheduler.h"
@@ -34,8 +32,6 @@ struct PortfolioConfig {
   double budget_ms = 25.0;
   /// Racing pool width; 0 = hardware concurrency.
   std::size_t threads = 0;
-  PolicyKind policy = PolicyKind::kStaticRace;
-  UcbConfig ucb{};
   /// Scalarization used to pick the winner; member configs should use the
   /// same weights so cached elites rank consistently.
   FitnessWeights weights{};
@@ -43,9 +39,6 @@ struct PortfolioConfig {
   /// `max_evaluations` here (with a generous budget) to make a whole
   /// portfolio run bitwise deterministic.
   StopCondition member_stop{};
-  bool warm_start = true;
-  /// Elites kept per activation for warm-starting the next one.
-  int elite_capacity = 8;
   std::uint64_t seed = 1;
 };
 
@@ -55,12 +48,7 @@ struct MemberStats {
   int runs = 0;
   int wins = 0;
   double total_ms = 0.0;
-  double total_reward = 0.0;
   std::int64_t evaluations = 0;
-
-  [[nodiscard]] double mean_reward() const noexcept {
-    return runs > 0 ? total_reward / runs : 0.0;
-  }
 };
 
 /// What happened in one activation (degenerate single-job batches are
@@ -156,14 +144,11 @@ class PortfolioBatchScheduler final : public BatchScheduler {
 
   PortfolioConfig config_;
   std::vector<std::unique_ptr<PortfolioMember>> members_;
-  std::vector<std::size_t> expensive_;  // member indices the policy governs
-  std::unique_ptr<BudgetPolicy> policy_;
   PopulationCache cache_;
   std::unique_ptr<ThreadPool> owned_pool_;  // null when racing on a shared pool
   ThreadPool* pool_;                        // owned or shared, never null
   std::vector<MemberStats> stats_;
   std::vector<ActivationRecord> records_;
-  std::string name_;
   std::uint64_t activation_ = 0;
   obs::TraceRecorder* trace_ = nullptr;  // bind_trace; null = not tracing
 };

@@ -58,7 +58,7 @@ struct ShardLoad {
 GridSchedulingService::GridSchedulingService(ServiceConfig config)
     : config_(std::move(config)),
       pool_(config_.threads),
-      router_(make_routing_policy(config_.routing)),
+      router_(config_.routing),
       admission_(config_.admission),
       name_(std::string("ShardedService(") +
             std::to_string(config_.num_shards) + "x " +
@@ -613,7 +613,7 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
   for (JobId row = 0; row < etc.num_jobs(); ++row) {
     if (row_rejected[static_cast<std::size_t>(row)]) continue;
     const RoutedJob job(row, job_class_of(row), routed_deadline_of(row));
-    const std::size_t pick = router_->route(job, etc, snapshots);
+    const std::size_t pick = router_.route(job, etc, snapshots);
     active[pick].queue.push_back(row);
     snapshots[pick].book_routed(
         job.job_class, shard_work_estimate(etc, job, snapshots[pick]), 1);

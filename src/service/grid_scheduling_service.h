@@ -3,9 +3,9 @@
 // PR 1's PortfolioBatchScheduler optimizes one batch queue; a
 // production-scale grid serves many. GridSchedulingService partitions the
 // grid's machines into shards and runs one full portfolio — with its own
-// PopulationCache and budget policy — per shard, all racing on ONE shared
-// ThreadPool. Each arriving job is routed to a shard by a pluggable
-// RoutingPolicy; the service then activates every shard with work
+// PopulationCache — per shard, all racing on ONE shared ThreadPool. Each
+// arriving job is routed to a shard by the ShardRouter of the configured
+// RoutingKind; the service then activates every shard with work
 // CONCURRENTLY — one TaskGroup per shard, results folded from a per-shard
 // slot array after the groups drain — splitting its total wall-clock
 // budget evenly over those shards. Overlapped races mean an activation's
@@ -245,9 +245,6 @@ class GridSchedulingService final : public BatchScheduler {
       const noexcept {
     return resizes_;
   }
-  [[nodiscard]] std::string_view router_name() const noexcept {
-    return router_->name();
-  }
   /// Ingress admission books (all zeros while admission is disabled).
   [[nodiscard]] const AdmissionStats& admission_stats() const noexcept {
     return admission_.stats();
@@ -267,7 +264,7 @@ class GridSchedulingService final : public BatchScheduler {
   ServiceConfig config_;
   ThreadPool pool_;  // shared by every shard's portfolio race
   std::vector<std::unique_ptr<PortfolioBatchScheduler>> shards_;
-  std::unique_ptr<RoutingPolicy> router_;
+  ShardRouter router_;
   AdmissionController admission_;
   std::vector<ShardActivationRecord> records_;
   std::vector<ServiceActivationRecord> service_records_;

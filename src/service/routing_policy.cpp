@@ -22,9 +22,10 @@ double shard_min_etc(const EtcMatrix& etc, JobId job,
 }
 
 /// The least-backlog pick (ties toward the lower index) — the shared
-/// definition behind LeastBacklogRouting AND class-backlog's classless
-/// fallback, so the documented "degrades to least-backlog" guarantee
-/// cannot silently diverge.
+/// definition behind least-backlog routing AND the classless and
+/// best-effort fallbacks of class-backlog and deadline-aware routing, so
+/// the documented "degrades to least-backlog" guarantee cannot silently
+/// diverge.
 std::size_t least_backlog_index(std::span<const ShardSnapshot> shards) {
   std::size_t best = 0;
   for (std::size_t s = 1; s < shards.size(); ++s) {
@@ -34,7 +35,7 @@ std::size_t least_backlog_index(std::span<const ShardSnapshot> shards) {
 }
 
 /// The estimated-completion pick (ties toward the lower index) shared by
-/// shard-MCT, class-backlog and deadline-aware routing: the shard's mean
+/// class-backlog and deadline-aware routing: the shard's mean
 /// per-machine backlog (how long until *a* machine frees up), plus — when
 /// `classed` — the job class's queue per matched machine there, plus the
 /// job's best run time there.
@@ -66,7 +67,6 @@ std::string_view routing_name(RoutingKind kind) noexcept {
     case RoutingKind::kRoundRobin: return "round-robin";
     case RoutingKind::kLeastBacklog: return "least-backlog";
     case RoutingKind::kBestFit: return "best-fit";
-    case RoutingKind::kShardMct: return "shard-mct";
     case RoutingKind::kClassBacklog: return "class-backlog";
     case RoutingKind::kDeadlineAware: return "deadline-aware";
   }
@@ -78,7 +78,6 @@ std::span<const RoutingKind> all_routing_kinds() noexcept {
       RoutingKind::kRoundRobin,
       RoutingKind::kLeastBacklog,
       RoutingKind::kBestFit,
-      RoutingKind::kShardMct,
       RoutingKind::kClassBacklog,
       RoutingKind::kDeadlineAware,
   };
@@ -176,79 +175,44 @@ std::vector<StealMove> plan_drain_steals(const EtcMatrix& etc,
   return moves;
 }
 
-std::size_t RoundRobinRouting::route(RoutedJob job, const EtcMatrix& etc,
-                                     std::span<const ShardSnapshot> shards) {
-  (void)job;
-  (void)etc;
-  const std::size_t pick = next_ % shards.size();
-  ++next_;
-  return pick;
-}
-
-std::size_t LeastBacklogRouting::route(RoutedJob job, const EtcMatrix& etc,
-                                       std::span<const ShardSnapshot> shards) {
-  (void)job;
-  (void)etc;
-  return least_backlog_index(shards);
-}
-
-std::size_t BestFitRouting::route(RoutedJob job, const EtcMatrix& etc,
-                                  std::span<const ShardSnapshot> shards) {
-  std::size_t best = 0;
-  double best_etc = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    for (int column : shards[s].columns) {
-      const double cost = etc(job.row, static_cast<MachineId>(column));
-      if (cost < best_etc) {
-        best_etc = cost;
-        best = s;
+std::size_t ShardRouter::route(RoutedJob job, const EtcMatrix& etc,
+                               std::span<const ShardSnapshot> shards) {
+  switch (kind_) {
+    case RoutingKind::kRoundRobin:
+      return next_++ % shards.size();
+    case RoutingKind::kLeastBacklog:
+      return least_backlog_index(shards);
+    case RoutingKind::kBestFit: {
+      std::size_t best = 0;
+      double best_etc = std::numeric_limits<double>::infinity();
+      for (std::size_t s = 0; s < shards.size(); ++s) {
+        for (int column : shards[s].columns) {
+          const double cost = etc(job.row, static_cast<MachineId>(column));
+          if (cost < best_etc) {
+            best_etc = cost;
+            best = s;
+          }
+        }
       }
+      return best;
+    }
+    case RoutingKind::kClassBacklog:
+      // Classless job, or a grid without reported classes: per-class queues
+      // do not exist, so fall back to plain least-backlog.
+      if (job.job_class < 0 || shards.front().class_machines.empty()) {
+        return least_backlog_index(shards);
+      }
+      return least_completion_index(job, etc, shards, /*classed=*/true);
+    case RoutingKind::kDeadlineAware: {
+      // Best-effort jobs spread by backlog; the completion-minimizing picks
+      // below are reserved for the jobs whose promise depends on them.
+      if (!std::isfinite(job.deadline)) return least_backlog_index(shards);
+      const bool classed =
+          job.job_class >= 0 && !shards.front().class_machines.empty();
+      return least_completion_index(job, etc, shards, classed);
     }
   }
-  return best;
-}
-
-std::size_t ShardMctRouting::route(RoutedJob job, const EtcMatrix& etc,
-                                   std::span<const ShardSnapshot> shards) {
-  return least_completion_index(job, etc, shards, /*classed=*/false);
-}
-
-std::size_t ClassBacklogRouting::route(RoutedJob job, const EtcMatrix& etc,
-                                       std::span<const ShardSnapshot> shards) {
-  // Classless job, or a grid without reported classes: per-class queues
-  // do not exist, so fall back to plain least-backlog.
-  if (job.job_class < 0 || shards.front().class_machines.empty()) {
-    return least_backlog_index(shards);
-  }
-  return least_completion_index(job, etc, shards, /*classed=*/true);
-}
-
-std::size_t DeadlineAwareRouting::route(RoutedJob job, const EtcMatrix& etc,
-                                        std::span<const ShardSnapshot> shards) {
-  // Best-effort jobs spread by backlog; the completion-minimizing picks
-  // below are reserved for the jobs whose promise depends on them.
-  if (!std::isfinite(job.deadline)) return least_backlog_index(shards);
-  const bool classed =
-      job.job_class >= 0 && !shards.front().class_machines.empty();
-  return least_completion_index(job, etc, shards, classed);
-}
-
-std::unique_ptr<RoutingPolicy> make_routing_policy(RoutingKind kind) {
-  switch (kind) {
-    case RoutingKind::kRoundRobin:
-      return std::make_unique<RoundRobinRouting>();
-    case RoutingKind::kLeastBacklog:
-      return std::make_unique<LeastBacklogRouting>();
-    case RoutingKind::kBestFit:
-      return std::make_unique<BestFitRouting>();
-    case RoutingKind::kShardMct:
-      return std::make_unique<ShardMctRouting>();
-    case RoutingKind::kClassBacklog:
-      return std::make_unique<ClassBacklogRouting>();
-    case RoutingKind::kDeadlineAware:
-      return std::make_unique<DeadlineAwareRouting>();
-  }
-  throw std::invalid_argument("make_routing_policy: unknown routing kind");
+  throw std::invalid_argument("ShardRouter: unknown routing kind");
 }
 
 }  // namespace gridsched

@@ -2,49 +2,15 @@
 //
 // The sharded scheduling service partitions the grid's machines into
 // shards and must decide, per arriving job, which shard's queue it joins.
-// A RoutingPolicy sees the batch ETC plus a snapshot of every *available*
+// A ShardRouter sees the batch ETC plus a snapshot of every *available*
 // shard (one with at least one alive machine this activation) and picks
-// one. Five built-ins:
-//
-//   RoundRobinRouting    cycle over the available shards — the oblivious
-//                        baseline, perfect spread by count, blind to load
-//                        and to ETC.
-//   LeastBacklogRouting  shard with the smallest backlog: sum of its
-//                        machines' ready times plus the estimated work
-//                        already routed to it this activation (without the
-//                        second term every job of a batch would pile onto
-//                        the shard that was lightest when the batch
-//                        opened).
-//   BestFitRouting       shard containing the machine with the lowest ETC
-//                        for this job — chases machine affinity on
-//                        inconsistent grids, ignoring load.
-//   ShardMctRouting      shard with the least estimated completion time
-//                        for the job: per-machine backlog plus the job's
-//                        best ETC in the shard — MCT lifted to shard
-//                        granularity, combining load AND affinity. On
-//                        inconsistent grids this is the policy that keeps
-//                        a sharded service at single-queue quality (see
-//                        bench/sharded_service).
-//   ClassBacklogRouting  least per-CLASS completion estimate: the shard's
-//                        general congestion, plus how deep the job's own
-//                        class queue already is on that shard's matched
-//                        machines, plus the job's real cost there — the
-//                        QoS "partition by user class" policy for
-//                        class-structured grids. Classless jobs degrade
-//                        to least-backlog.
-//   DeadlineAwareRouting deadline jobs chase the shard with the least
-//                        class-corrected completion estimate (their miss
-//                        risk is a completion-time problem); best-effort
-//                        jobs spread by least-backlog, leaving the
-//                        affinity headroom to the urgent work. See
-//                        docs/qos.md.
+// one by its RoutingKind (the kinds are documented on the enum below).
 //
 // Ties break toward the lower shard id, so routing is deterministic given
-// the snapshots. Policies may be stateful (round-robin's cursor).
+// the snapshots. Round-robin keeps a cursor, so a router is stateful.
 #pragma once
 
 #include <limits>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -55,11 +21,36 @@
 namespace gridsched {
 
 enum class RoutingKind {
+  /// Cycle over the available shards — the oblivious baseline, perfect
+  /// spread by count, blind to load and to ETC.
   kRoundRobin,
+  /// Shard with the smallest backlog: sum of its machines' ready times plus
+  /// the estimated work already routed to it this activation (without the
+  /// second term every job of a batch would pile onto the shard that was
+  /// lightest when the batch opened).
   kLeastBacklog,
+  /// Shard containing the machine with the lowest ETC for this job —
+  /// chases machine affinity on inconsistent grids, ignoring load.
   kBestFit,
-  kShardMct,
+  /// Per-class backlog routing: score(s) = the shard's mean per-machine
+  /// backlog (general congestion) + the job's class queue depth on the
+  /// shard's matched machines (class_routed_work / matched machines; a
+  /// shard with NO matched machine carries the whole class queue on one
+  /// virtual slot, so class-starved shards repel the class) + the job's
+  /// real best ETC there. Minimizing that estimate gives every job class
+  /// its own view of the queues — the paper-adjacent QoS partition-by-class
+  /// story — while classless jobs fall back to plain least-backlog.
   kClassBacklog,
+  /// Deadline-pressure routing for QoS runs (src/qos/qos.h). A job with a
+  /// deadline is a completion-time problem: it takes the class-corrected
+  /// completion estimate (congestion + its class queue depth + its best ETC
+  /// there — class-backlog's score, degrading to per-machine backlog plus
+  /// best ETC, batch-mode MCT lifted to shards, when classes are not
+  /// reported) and joins the shard minimizing it. Best-effort jobs spread
+  /// by plain least-backlog, which keeps overall balance AND leaves the
+  /// low-ETC matched machines available to the jobs whose promise depends
+  /// on them. Without deadlines in the batch it behaves exactly like
+  /// least-backlog. See docs/qos.md.
   kDeadlineAware,
 };
 
@@ -92,8 +83,8 @@ struct RoutedJob {
       : row(row), job_class(job_class), deadline(deadline) {}
 };
 
-/// What a routing policy knows about one shard at routing time. `columns`
-/// are batch ETC column indices (not grid machine ids), so policies can
+/// What a router knows about one shard at routing time. `columns`
+/// are batch ETC column indices (not grid machine ids), so routers can
 /// read ETC entries directly. The class fields are filled only on
 /// class-structured grids (empty vectors otherwise).
 struct ShardSnapshot {
@@ -146,101 +137,20 @@ struct ShardSnapshot {
   }
 };
 
-class RoutingPolicy {
+/// Routes jobs to shards by one RoutingKind.
+class ShardRouter {
  public:
-  virtual ~RoutingPolicy() = default;
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+  explicit ShardRouter(RoutingKind kind) noexcept : kind_(kind) {}
 
   /// Picks the index *into `shards`* (not the shard id) for `job`.
   /// `shards` is never empty and every snapshot has at least one column.
-  [[nodiscard]] virtual std::size_t route(
-      RoutedJob job, const EtcMatrix& etc,
-      std::span<const ShardSnapshot> shards) = 0;
-};
-
-class RoundRobinRouting final : public RoutingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "round-robin";
-  }
   [[nodiscard]] std::size_t route(RoutedJob job, const EtcMatrix& etc,
-                                  std::span<const ShardSnapshot> shards)
-      override;
+                                  std::span<const ShardSnapshot> shards);
 
  private:
-  std::size_t next_ = 0;
+  RoutingKind kind_;
+  std::size_t next_ = 0;  // round-robin cursor
 };
-
-class LeastBacklogRouting final : public RoutingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "least-backlog";
-  }
-  [[nodiscard]] std::size_t route(RoutedJob job, const EtcMatrix& etc,
-                                  std::span<const ShardSnapshot> shards)
-      override;
-};
-
-class BestFitRouting final : public RoutingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "best-fit";
-  }
-  [[nodiscard]] std::size_t route(RoutedJob job, const EtcMatrix& etc,
-                                  std::span<const ShardSnapshot> shards)
-      override;
-};
-
-class ShardMctRouting final : public RoutingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "shard-mct";
-  }
-  [[nodiscard]] std::size_t route(RoutedJob job, const EtcMatrix& etc,
-                                  std::span<const ShardSnapshot> shards)
-      override;
-};
-
-/// Per-class backlog routing: score(s) = the shard's mean per-machine
-/// backlog (general congestion) + the job's class queue depth on the
-/// shard's matched machines (class_routed_work / matched machines; a
-/// shard with NO matched machine carries the whole class queue on one
-/// virtual slot, so class-starved shards repel the class) + the job's
-/// real best ETC there. Minimizing that estimate gives every job class
-/// its own view of the queues — the paper-adjacent QoS partition-by-class
-/// story — while classless jobs fall back to plain least-backlog.
-class ClassBacklogRouting final : public RoutingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "class-backlog";
-  }
-  [[nodiscard]] std::size_t route(RoutedJob job, const EtcMatrix& etc,
-                                  std::span<const ShardSnapshot> shards)
-      override;
-};
-
-/// Deadline-pressure routing for QoS runs (src/qos/qos.h). A job with a
-/// deadline is a completion-time problem: it takes the class-corrected
-/// completion estimate (congestion + its class queue depth + its best ETC
-/// there — class-backlog's score, degrading to shard-MCT's when classes
-/// are not reported) and joins the shard minimizing it. Best-effort jobs
-/// spread by plain least-backlog, which keeps overall balance AND leaves
-/// the low-ETC matched machines available to the jobs whose promise
-/// depends on them. Without deadlines in the batch it behaves exactly
-/// like least-backlog.
-class DeadlineAwareRouting final : public RoutingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "deadline-aware";
-  }
-  [[nodiscard]] std::size_t route(RoutedJob job, const EtcMatrix& etc,
-                                  std::span<const ShardSnapshot> shards)
-      override;
-};
-
-[[nodiscard]] std::unique_ptr<RoutingPolicy> make_routing_policy(
-    RoutingKind kind);
 
 /// Work estimate the service books against a shard when it routes or
 /// migrates the job: the job's best ETC over the shard's machines. On

@@ -1,4 +1,5 @@
-// Fixed-seed end-to-end pins for the evolutionary loops.
+// Fixed-seed end-to-end pins for the evolutionary loops, the portfolio
+// race and the sharded service.
 //
 // The evaluator's delta machinery (O(1) previews, closed-form applies,
 // reset_to gene replay) promises BITWISE-identical results to the naive
@@ -11,6 +12,12 @@
 // apply / canonicalize / reset_to pipeline, or an RNG draw added or
 // removed from an operator, flips a pin.
 //
+// Two evaluation-bounded pins sit one layer up: a default-member portfolio
+// over three warm-started activations (per-member seeds, winner
+// tie-break, elite cache), and a 4-shard service activation with
+// deadline-aware routing and admission (ingress triage, routing scores,
+// rebalancing, per-shard races, Pareto winner picks).
+//
 // Refreshing: a pin may only change together with an intentional,
 // documented behavior change (new operator semantics, RNG stream change).
 // A perf-only PR that moves one of these values has a bug.
@@ -20,6 +27,7 @@
 // legitimately perturb the last ULPs (docs/performance.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "cma/cma.h"
@@ -28,6 +36,9 @@
 #include "etc/instance.h"
 #include "ga/steady_state_ga.h"
 #include "ga/struggle_ga.h"
+#include "portfolio/portfolio.h"
+#include "qos/qos.h"
+#include "service/grid_scheduling_service.h"
 
 namespace gridsched {
 namespace {
@@ -176,6 +187,87 @@ TEST(GoldenPins, CvbInstance) {
   EXPECT_EQ(etc_checksum(generate_cvb_instance(spec)), 13382845.406823657);
   spec.consistency = Consistency::kSemiConsistent;
   EXPECT_EQ(etc_checksum(generate_cvb_instance(spec)), 13407287.498775903);
+}
+
+// Three activations of one batch, so the second and third race from the
+// first's cached elites.
+TEST(GoldenPins, PortfolioWarmStartedActivations) {
+  InstanceSpec spec;
+  spec.num_jobs = 64;
+  spec.num_machines = 8;
+  spec.consistency = Consistency::kInconsistent;
+  spec.seed = 21;
+  const EtcMatrix etc = generate_instance(spec);
+  PortfolioConfig config;
+  config.budget_ms = 60'000.0;  // backstop; the evaluation bound decides
+  config.threads = 2;
+  config.member_stop = StopCondition{.max_evaluations = 400};
+  config.seed = 5;
+  PortfolioBatchScheduler portfolio(
+      config, PortfolioBatchScheduler::default_members(config));
+  const std::uint64_t hashes[] = {13161952376466372019ULL,
+                                  10552020348902862845ULL,
+                                  422950762362161637ULL};
+  const char* const winners[] = {"cMA", "cMA", "LAHC"};
+  for (int activation = 0; activation < 3; ++activation) {
+    EXPECT_EQ(schedule_hash(portfolio.schedule_batch(etc)),
+              hashes[activation])
+        << "activation " << activation;
+    EXPECT_EQ(portfolio.activations().back().winner_name,
+              winners[activation])
+        << "activation " << activation;
+  }
+}
+
+// Two 4-shard activations of a QoS batch on a classless grid. A third of
+// the rows carry finite deadlines, and every ninth row's deadline is
+// already infeasible: the first activation (busy machines, over the
+// overload threshold) sheds those rows, the second (idle machines)
+// degrades them to best effort.
+TEST(GoldenPins, ShardedServiceDeadlineAwareAdmission) {
+  InstanceSpec spec;
+  spec.num_jobs = 96;
+  spec.num_machines = 16;
+  spec.consistency = Consistency::kSemiConsistent;
+  spec.seed = 23;
+  EtcMatrix etc = generate_instance(spec);
+  BatchContext context = BatchContext::identity(etc, 1);
+  context.job_deadlines.assign(static_cast<std::size_t>(etc.num_jobs()),
+                               kNoDeadline);
+  for (JobId job = 0; job < etc.num_jobs(); job += 3) {
+    double best_etc = etc(job, 0);
+    for (MachineId machine = 1; machine < etc.num_machines(); ++machine) {
+      best_etc = std::min(best_etc, etc(job, machine));
+    }
+    context.job_deadlines[static_cast<std::size_t>(job)] =
+        job % 9 == 0 ? 0.5 * best_etc : 4.0 * etc(job, 0);
+  }
+  ServiceConfig config;
+  config.num_shards = 4;
+  config.routing = RoutingKind::kDeadlineAware;
+  config.total_budget_ms = 60'000.0;  // backstop; the evaluation bound decides
+  config.threads = 2;
+  config.admission.enabled = true;
+  config.admission.overload_backlog = 100.0;
+  config.member_stop = StopCondition{.max_evaluations = 300};
+  config.seed = 9;
+  GridSchedulingService service(config);
+
+  for (MachineId machine = 0; machine < etc.num_machines(); ++machine) {
+    etc.set_ready_time(machine, 500.0 * (machine % 5));
+  }
+  EXPECT_EQ(schedule_hash(service.schedule_batch(etc, context)),
+            13094728269995262925ULL);
+  EXPECT_EQ(service.admission_stats().rejected(), 11);
+
+  for (MachineId machine = 0; machine < etc.num_machines(); ++machine) {
+    etc.set_ready_time(machine, 0.0);
+  }
+  context.activation = 2;
+  EXPECT_EQ(schedule_hash(service.schedule_batch(etc, context)),
+            9517768817183253271ULL);
+  EXPECT_EQ(service.admission_stats().rejected(), 11);
+  EXPECT_EQ(service.admission_stats().degraded, 11);
 }
 
 }  // namespace

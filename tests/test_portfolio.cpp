@@ -209,109 +209,6 @@ TEST(PopulationCache, AdoptJobAddsOrReassignsOnEveryElite) {
   EXPECT_TRUE(fresh.stored_job_ids().empty());
 }
 
-// --------------------------------------------------------------- policy --
-
-TEST(UcbPolicy, ColdStartEventuallyPlaysEveryArm) {
-  UcbPolicy policy(UcbConfig{.exploration = 0.5, .max_active = 2});
-  std::vector<bool> played(4, false);
-  for (int round = 0; round < 4; ++round) {
-    const std::vector<double> shares = policy.plan(4);
-    for (std::size_t i = 0; i < shares.size(); ++i) {
-      if (shares[i] > 0) {
-        played[i] = true;
-        policy.record(i, 0.5, 1.0);
-      }
-    }
-  }
-  EXPECT_TRUE(std::all_of(played.begin(), played.end(),
-                          [](bool p) { return p; }));
-}
-
-TEST(UcbPolicy, RecordAccumulatesCredit) {
-  UcbPolicy policy;
-  (void)policy.plan(2);
-  policy.record(0, 1.0, 10.0);
-  policy.record(0, 0.5, 20.0);
-  policy.record(1, 0.25, 5.0);
-  ASSERT_EQ(policy.arms().size(), 2u);
-  EXPECT_EQ(policy.arms()[0].plays, 2);
-  EXPECT_DOUBLE_EQ(policy.arms()[0].mean_reward(), 0.75);
-  EXPECT_DOUBLE_EQ(policy.arms()[0].total_cost_ms, 30.0);
-  EXPECT_EQ(policy.arms()[1].plays, 1);
-  EXPECT_DOUBLE_EQ(policy.arms()[1].mean_reward(), 0.25);
-}
-
-TEST(UcbPolicy, ConcentratesOnTheRewardingArm) {
-  UcbPolicy policy(UcbConfig{.exploration = 0.05, .max_active = 1});
-  // Warm-up: every arm gets played once via the +inf cold-start score.
-  for (int round = 0; round < 3; ++round) {
-    const std::vector<double> shares = policy.plan(3);
-    for (std::size_t i = 0; i < shares.size(); ++i) {
-      if (shares[i] > 0) policy.record(i, i == 1 ? 1.0 : 0.1, 1.0);
-    }
-  }
-  // With low exploration, arm 1 must dominate the next rounds.
-  int arm1_plays = 0;
-  for (int round = 0; round < 10; ++round) {
-    const std::vector<double> shares = policy.plan(3);
-    for (std::size_t i = 0; i < shares.size(); ++i) {
-      if (shares[i] > 0) {
-        if (i == 1) ++arm1_plays;
-        policy.record(i, i == 1 ? 1.0 : 0.1, 1.0);
-      }
-    }
-  }
-  EXPECT_GE(arm1_plays, 9);
-}
-
-TEST(UcbPolicy, CostAwareCreditPrefersTheCheapNearWinner) {
-  // Arm 0 nearly wins for 5 ms; arm 1 barely wins for 50 ms. Cost-blind
-  // UCB ranks 1 above 0; cost-aware credit inverts that.
-  const auto feed = [](UcbPolicy& policy) {
-    for (int round = 0; round < 5; ++round) {
-      policy.record(0, 0.9, 5.0);
-      policy.record(1, 1.0, 50.0);
-    }
-  };
-  UcbPolicy cost_aware(
-      UcbConfig{.exploration = 0.0, .max_active = 1, .cost_aware = true});
-  (void)cost_aware.plan(2);
-  feed(cost_aware);
-  EXPECT_GT(cost_aware.score(0), cost_aware.score(1));
-
-  UcbPolicy cost_blind(
-      UcbConfig{.exploration = 0.0, .max_active = 1, .cost_aware = false});
-  (void)cost_blind.plan(2);
-  feed(cost_blind);
-  EXPECT_LT(cost_blind.score(0), cost_blind.score(1));
-}
-
-TEST(UcbPolicy, CostAwareReducesToMeanRewardOnEqualCosts) {
-  UcbPolicy policy(
-      UcbConfig{.exploration = 0.0, .max_active = 1, .cost_aware = true});
-  (void)policy.plan(2);
-  for (int round = 0; round < 4; ++round) {
-    policy.record(0, 0.8, 10.0);
-    policy.record(1, 0.5, 10.0);
-  }
-  EXPECT_NEAR(policy.score(0), 0.8, 1e-12);
-  EXPECT_NEAR(policy.score(1), 0.5, 1e-12);
-}
-
-TEST(UcbPolicy, UnplayedArmScoresInfinite) {
-  UcbPolicy policy;
-  (void)policy.plan(2);
-  policy.record(0, 1.0, 1.0);
-  EXPECT_TRUE(std::isinf(policy.score(1)));
-  EXPECT_FALSE(std::isinf(policy.score(0)));
-}
-
-TEST(UcbPolicy, RejectsBadConfig) {
-  EXPECT_THROW(UcbPolicy(UcbConfig{.max_active = 0}), std::invalid_argument);
-  EXPECT_THROW(UcbPolicy(UcbConfig{.exploration = -1.0}),
-               std::invalid_argument);
-}
-
 // ------------------------------------------------------------ portfolio --
 
 // ----------------------------------------------------------------- lahc --
@@ -471,27 +368,23 @@ TEST(Portfolio, WarmStartCacheFillsAndFeedsTheNextActivation) {
   EXPECT_TRUE(plan.complete(etc.num_machines()));
 }
 
-TEST(Portfolio, UcbPolicySkipsMembersAndStillSchedules) {
+TEST(Portfolio, EveryMemberRacesEveryActivation) {
   const EtcMatrix etc = small_instance(32, 6);
   PortfolioConfig config = deterministic_config();
-  config.policy = PolicyKind::kUcb;
-  config.ucb = UcbConfig{.exploration = 0.2, .max_active = 1};
   PortfolioBatchScheduler portfolio(
       config, PortfolioBatchScheduler::default_members(config));
-  EXPECT_EQ(portfolio.name(), "Portfolio(ucb)");
+  EXPECT_EQ(portfolio.name(), "Portfolio");
   for (int i = 0; i < 4; ++i) {
     const Schedule plan = portfolio.schedule_batch(etc);
     EXPECT_TRUE(plan.complete(etc.num_machines()));
   }
-  // Exactly one expensive member races per activation (plus the two free
-  // heuristics): per-activation runs sum to 3 members.
-  int expensive_runs = 0;
+  ASSERT_EQ(portfolio.activations().size(), 4u);
+  int wins = 0;
   for (const MemberStats& stat : portfolio.member_stats()) {
-    if (stat.name != "MCT" && stat.name != "Min-Min") {
-      expensive_runs += stat.runs;
-    }
+    EXPECT_EQ(stat.runs, 4) << stat.name;
+    wins += stat.wins;
   }
-  EXPECT_EQ(expensive_runs, 4);
+  EXPECT_EQ(wins, 4);
 }
 
 TEST(Portfolio, SharedPoolMatchesOwnedPool) {

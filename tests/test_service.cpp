@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "etc/instance.h"
@@ -82,7 +84,7 @@ ShardSnapshot snapshot(int shard, std::vector<int> columns, double ready_sum,
 // ---------------------------------------------------------------- router --
 
 TEST(RoutingPolicy, RoundRobinCyclesOverAvailableShards) {
-  RoundRobinRouting router;
+  ShardRouter router(RoutingKind::kRoundRobin);
   const EtcMatrix etc(4, 3);
   const std::vector<ShardSnapshot> shards = {
       snapshot(0, {0}, 0.0), snapshot(2, {1, 2}, 0.0)};
@@ -93,7 +95,7 @@ TEST(RoutingPolicy, RoundRobinCyclesOverAvailableShards) {
 }
 
 TEST(RoutingPolicy, LeastBacklogIsDeterministicGivenFixedBacklogs) {
-  LeastBacklogRouting router;
+  ShardRouter router(RoutingKind::kLeastBacklog);
   const EtcMatrix etc(1, 4);
   const std::vector<ShardSnapshot> shards = {
       snapshot(0, {0}, 30.0), snapshot(1, {1}, 10.0), snapshot(2, {2}, 20.0)};
@@ -104,7 +106,7 @@ TEST(RoutingPolicy, LeastBacklogIsDeterministicGivenFixedBacklogs) {
 }
 
 TEST(RoutingPolicy, LeastBacklogCountsWorkRoutedThisActivation) {
-  LeastBacklogRouting router;
+  ShardRouter router(RoutingKind::kLeastBacklog);
   const EtcMatrix etc(1, 2);
   // Shard 1 has the lower ready sum but already absorbed 15s of routed
   // work this activation, so shard 0 is now the lighter queue.
@@ -114,7 +116,7 @@ TEST(RoutingPolicy, LeastBacklogCountsWorkRoutedThisActivation) {
 }
 
 TEST(RoutingPolicy, LeastBacklogTieBreaksTowardLowerIndex) {
-  LeastBacklogRouting router;
+  ShardRouter router(RoutingKind::kLeastBacklog);
   const EtcMatrix etc(1, 2);
   const std::vector<ShardSnapshot> shards = {
       snapshot(3, {0}, 7.0), snapshot(5, {1}, 7.0)};
@@ -122,7 +124,7 @@ TEST(RoutingPolicy, LeastBacklogTieBreaksTowardLowerIndex) {
 }
 
 TEST(RoutingPolicy, BestFitPicksTheShardWithTheLowestEtc) {
-  BestFitRouting router;
+  ShardRouter router(RoutingKind::kBestFit);
   EtcMatrix etc(2, 4);
   etc.set(0, 0, 9.0);
   etc.set(0, 1, 8.0);
@@ -138,26 +140,36 @@ TEST(RoutingPolicy, BestFitPicksTheShardWithTheLowestEtc) {
   EXPECT_EQ(router.route(1, etc, shards), 0u);
 }
 
-TEST(RoutingPolicy, ShardMctBalancesAffinityAgainstBacklog) {
-  ShardMctRouting router;
+TEST(RoutingPolicy, DeadlineAwareBalancesAffinityAgainstBacklog) {
+  ShardRouter router(RoutingKind::kDeadlineAware);
   EtcMatrix etc(1, 2);
   etc.set(0, 0, 2.0);   // shard 0 is faster for the job...
   etc.set(0, 1, 10.0);  // ...but shard 1 is idle
-  // Light backlog: affinity wins (5/1 + 2 = 7 < 0 + 10).
+  // A deadline job on a classless grid minimizes per-machine backlog plus
+  // best ETC. Light backlog: affinity wins (5/1 + 2 = 7 < 0 + 10).
+  const RoutedJob urgent(0, -1, 100.0);
   const std::vector<ShardSnapshot> light = {
       snapshot(0, {0}, 5.0), snapshot(1, {1}, 0.0)};
-  EXPECT_EQ(router.route(0, etc, light), 0u);
+  EXPECT_EQ(router.route(urgent, etc, light), 0u);
   // Deep backlog on the fast shard: the idle shard's completion wins
   // (20/1 + 2 = 22 > 0 + 10).
   const std::vector<ShardSnapshot> deep = {
       snapshot(0, {0}, 20.0), snapshot(1, {1}, 0.0)};
-  EXPECT_EQ(router.route(0, etc, deep), 1u);
+  EXPECT_EQ(router.route(urgent, etc, deep), 1u);
+  // A best-effort job spreads by least-backlog, affinity or not.
+  EXPECT_EQ(router.route(0, etc, light), 1u);
 }
 
-TEST(RoutingPolicy, FactoryAndNamesCoverEveryKind) {
+TEST(RoutingPolicy, EveryKindHasANameAndRoutesInRange) {
+  const EtcMatrix etc(1, 2);
+  const std::vector<ShardSnapshot> shards = {snapshot(0, {0}, 1.0),
+                                             snapshot(1, {1}, 0.0)};
+  EXPECT_EQ(all_routing_kinds().size(), 5u);
   for (const RoutingKind kind : all_routing_kinds()) {
-    const auto policy = make_routing_policy(kind);
-    EXPECT_EQ(policy->name(), routing_name(kind));
+    EXPECT_NE(routing_name(kind), "?");
+    ShardRouter router(kind);
+    EXPECT_LT(router.route(0, etc, shards), shards.size())
+        << routing_name(kind);
   }
 }
 
@@ -193,7 +205,7 @@ TEST(RoutingPolicy, ShardWorkEstimateNormalizesClassStarvedShards) {
 }
 
 TEST(RoutingPolicy, ClassBacklogPrefersTheShardWithTheClassQueueFree) {
-  ClassBacklogRouting router;
+  ShardRouter router(RoutingKind::kClassBacklog);
   EtcMatrix etc(1, 2);
   etc.set(0, 0, 10.0);  // class-0 job runs equally fast on both shards...
   etc.set(0, 1, 10.0);
@@ -218,7 +230,7 @@ TEST(RoutingPolicy, ClassBacklogPrefersTheShardWithTheClassQueueFree) {
 }
 
 TEST(RoutingPolicy, ClassBacklogAvoidsClassStarvedShardsWhenCostly) {
-  ClassBacklogRouting router;
+  ShardRouter router(RoutingKind::kClassBacklog);
   EtcMatrix etc(1, 2);
   etc.set(0, 0, 30.0);  // shard 0 lacks the class: 3x slower
   etc.set(0, 1, 10.0);
@@ -323,6 +335,19 @@ TEST(RoutingPolicy, RoutingKindRoundTripsThroughItsName) {
   }
   EXPECT_THROW((void)routing_kind_from_name("no-such-policy"),
                std::invalid_argument);
+}
+
+TEST(RoutingPolicy, ShardMctIsNotARoutingKind) {
+  try {
+    (void)routing_kind_from_name("shard-mct");
+    FAIL() << "shard-mct parsed as a routing kind";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("valid: round-robin least-backlog best-fit "
+                        "class-backlog deadline-aware"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // --------------------------------------------------------------- service --
