@@ -210,6 +210,34 @@ void BM_LocalSearchLmctsStep(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalSearchLmctsStep);
 
+// The LMCTS swap scan alone: one focus job on the makespan machine
+// previewed against every job on the other machines. The schedule sits at
+// a local optimum of the all-critical-jobs scan, so no focus job finds an
+// improving swap, nothing is applied and every iteration times the same
+// scan on the same state. Two shapes: one shard of perfbench's swf-stream
+// workload (24x12, from Min-Min) and the paper's 512x16 u_i_hihi.0.
+void BM_LmctsScan(benchmark::State& state, const char* label, int jobs,
+                  int machines) {
+  InstanceSpec spec = *parse_instance_name(label);
+  spec.num_jobs = jobs;
+  spec.num_machines = machines;
+  const EtcMatrix etc = generate_instance(spec);
+  const FitnessWeights weights{};
+  ScheduleEvaluator eval(etc);
+  eval.reset(min_min(etc));
+  Rng rng(11);
+  LocalSearchConfig converge{LocalSearchKind::kLmcts, 1'000};
+  converge.scan = LmctsScan::kCriticalAllJobs;
+  while (local_search(converge, weights, eval, rng).improvements > 0) {
+  }
+  const LocalSearchConfig step{LocalSearchKind::kLmcts, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(local_search(step, weights, eval, rng));
+  }
+}
+BENCHMARK_CAPTURE(BM_LmctsScan, shard_24x12, "u_c_hihi.0", 24, 12);
+BENCHMARK_CAPTURE(BM_LmctsScan, u_i_hihi_512x16, "u_i_hihi.0", 512, 16);
+
 void BM_OnePointCrossover(benchmark::State& state) {
   Rng rng(6);
   const Schedule a = Schedule::random(512, 16, rng);

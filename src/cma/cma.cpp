@@ -1,5 +1,7 @@
 #include "cma/cma.h"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -21,52 +23,64 @@ CellularMemeticAlgorithm::CellularMemeticAlgorithm(CmaConfig config)
 }
 
 std::vector<Individual> CellularMemeticAlgorithm::initialize_population(
-    ScheduleEvaluator& evaluator, Rng& rng) const {
+    ScheduleEvaluator& evaluator, Rng& rng, std::span<const Schedule> warm,
+    EvolutionTracker& tracker, bool split_streams) const {
   const EtcMatrix& etc = evaluator.etc();
-  const int pop_size = config_.pop_height * config_.pop_width;
-  std::vector<Individual> population;
-  population.reserve(static_cast<std::size_t>(pop_size));
-
+  std::vector<Individual> population(
+      static_cast<std::size_t>(config_.pop_height * config_.pop_width));
   if (config_.init == InitKind::kLjfrSjfr) {
-    const Schedule seed = ljfr_sjfr(etc);
-    population.push_back(make_individual(seed, evaluator, config_.weights));
-    for (int i = 1; i < pop_size; ++i) {
-      Schedule perturbed = seed;
-      perturbed.perturb(config_.init_perturbation, etc.num_machines(), rng);
-      population.push_back(
-          make_individual(std::move(perturbed), evaluator, config_.weights));
+    population[0].schedule = ljfr_sjfr(etc);
+    for (std::size_t i = 1; i < population.size(); ++i) {
+      population[i].schedule = population[0].schedule;
+      population[i].schedule.perturb(config_.init_perturbation,
+                                     etc.num_machines(), rng);
     }
   } else {
-    for (int i = 0; i < pop_size; ++i) {
-      population.push_back(make_individual(
-          Schedule::random(etc.num_jobs(), etc.num_machines(), rng), evaluator,
-          config_.weights));
+    for (Individual& cell : population) {
+      cell.schedule = Schedule::random(etc.num_jobs(), etc.num_machines(), rng);
     }
   }
-  return population;
-}
 
-void CellularMemeticAlgorithm::apply_warm_start(
-    std::vector<Individual>& population, std::span<const Schedule> warm,
-    ScheduleEvaluator& evaluator, EvolutionTracker* tracker) const {
-  const EtcMatrix& etc = evaluator.etc();
   // Cell 0 keeps the constructive seed; warm elites fill the next cells.
-  std::size_t cell = 1;
+  std::size_t warm_end = 1;
   for (const Schedule& schedule : warm) {
-    if (cell >= population.size()) break;
+    if (warm_end >= population.size()) break;
     if (schedule.num_jobs() != etc.num_jobs() ||
         !schedule.complete(etc.num_machines())) {
       throw std::invalid_argument(
           "CellularMemeticAlgorithm: warm-start schedule does not fit the "
           "instance");
     }
-    population[cell] = make_individual(schedule, evaluator, config_.weights);
-    if (tracker != nullptr) {
-      tracker->count_evaluations();
-      tracker->offer(population[cell]);
-    }
-    ++cell;
+    Individual& cell = population[warm_end++];
+    cell.schedule = schedule;
+    evaluate_individual(cell, evaluator, config_.weights);
+    tracker.count_evaluations();
+    tracker.offer(cell);
   }
+
+  std::size_t next = 0;
+  while (next < population.size()) {
+    Individual& cell = population[next++];
+    evaluator.reset_to(cell.schedule);
+    std::optional<Rng> stream;
+    if (split_streams) stream = rng.split();
+    local_search(config_.local_search, config_.weights, evaluator,
+                 stream ? *stream : rng, config_.stop.cancel);
+    assign_from_evaluator(cell, evaluator, config_.weights);
+    tracker.count_evaluations();
+    tracker.offer(cell);
+    // Poll after the first offer so a cancelled run still returns a valid
+    // best; bounds the portfolio's deadline overshoot to one local-search
+    // pass instead of a whole-mesh initialization.
+    if (tracker.should_stop()) break;
+  }
+  // Cells the pass never reached: warm ones were evaluated on arrival,
+  // drawn ones are evaluated here.
+  for (next = std::max(next, warm_end); next < population.size(); ++next) {
+    evaluator.reset_to(population[next].schedule);
+    assign_from_evaluator(population[next], evaluator, config_.weights);
+  }
+  return population;
 }
 
 EvolutionResult CellularMemeticAlgorithm::run(const EtcMatrix& etc) const {
@@ -82,20 +96,8 @@ EvolutionResult CellularMemeticAlgorithm::run(
   // One evaluator for the whole run: it evaluates the mesh, then
   // re-targets every offspring.
   ScheduleEvaluator evaluator(etc);
-  std::vector<Individual> population = initialize_population(evaluator, rng);
-  apply_warm_start(population, warm, evaluator, &tracker);
-  for (Individual& individual : population) {
-    evaluator.reset_to(individual.schedule);
-    local_search(config_.local_search, config_.weights, evaluator, rng,
-                 config_.stop.cancel);
-    assign_from_evaluator(individual, evaluator, config_.weights);
-    tracker.count_evaluations();
-    tracker.offer(individual);
-    // Poll after the first offer so a cancelled run still returns a valid
-    // best; bounds the portfolio's deadline overshoot to one local-search
-    // pass instead of a whole-mesh initialization.
-    if (tracker.should_stop()) break;
-  }
+  std::vector<Individual> population = initialize_population(
+      evaluator, rng, warm, tracker, /*split_streams=*/false);
 
   const Topology topology(config_.pop_height, config_.pop_width,
                           config_.neighborhood);

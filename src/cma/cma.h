@@ -31,31 +31,30 @@ class CellularMemeticAlgorithm {
   [[nodiscard]] EvolutionResult run(const EtcMatrix& etc) const;
 
   /// Warm-started run: the mesh is built by `initialize_population` as
-  /// usual, then cells starting at index 1 are overwritten with the given
-  /// schedules (cell 0 keeps the LJFR-SJFR seed so the constructive anchor
-  /// survives a bad cache). Surplus schedules are ignored; schedules must
-  /// be complete for the instance. Deterministic in (config.seed, warm).
+  /// usual, with cells starting at index 1 taking the given schedules
+  /// (cell 0 keeps the LJFR-SJFR seed so the constructive anchor survives
+  /// a bad cache). Surplus schedules are ignored; schedules must be
+  /// complete for the instance. Deterministic in (config.seed, warm).
   [[nodiscard]] EvolutionResult run(const EtcMatrix& etc,
                                     std::span<const Schedule> warm) const;
 
   [[nodiscard]] const CmaConfig& config() const noexcept { return config_; }
 
-  /// Builds the initial mesh population for `evaluator.etc()`, evaluating
-  /// every cell through the run's `evaluator` (exposed for tests and for
-  /// warm-started dynamic scheduling).
+  /// The mesh-initialization pass of both engines. Draws every cell's
+  /// schedule from `rng` (the LJFR-SJFR seed plus perturbed copies, or
+  /// random schedules), puts the warm schedules in cells 1.. — each
+  /// evaluated, counted and offered at once, so a cancellation during
+  /// initialization can never discard a warm-start best — then improves
+  /// the cells in index order: each is evaluated by the evaluator reset
+  /// that precedes its local search, then counted and offered. The
+  /// searches draw from `rng` itself or, with `split_streams`, from one
+  /// `rng.split()` per cell (the synchronous engine's streams). The pass
+  /// stops after the first cell at which `tracker` says stop; cells it
+  /// never reached are evaluated as drawn, so every returned fitness is
+  /// real. Throws if a warm schedule does not fit the instance.
   [[nodiscard]] std::vector<Individual> initialize_population(
-      ScheduleEvaluator& evaluator, Rng& rng) const;
-
-  /// Overwrites mesh cells [1, 1 + warm.size()) with the warm schedules
-  /// (shared by the async and sync engines), evaluated through the run's
-  /// `evaluator`. Throws if a schedule does not fit the instance. When a
-  /// tracker is given, each inserted elite is offered (and counted)
-  /// immediately, so a cancellation during mesh initialization can never
-  /// discard a warm-start best.
-  void apply_warm_start(std::vector<Individual>& population,
-                        std::span<const Schedule> warm,
-                        ScheduleEvaluator& evaluator,
-                        EvolutionTracker* tracker = nullptr) const;
+      ScheduleEvaluator& evaluator, Rng& rng, std::span<const Schedule> warm,
+      EvolutionTracker& tracker, bool split_streams) const;
 
  private:
   CmaConfig config_;

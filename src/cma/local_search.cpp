@@ -8,16 +8,13 @@ namespace {
 /// Scalar the local search minimizes for a previewed candidate.
 double score_of(const PreviewResult& preview, LsObjective objective,
                 const FitnessWeights& weights, int num_machines) {
-  return objective == LsObjective::kFitness
-             ? preview.fitness(weights, num_machines)
-             : preview.objectives.makespan;
+  return preview.objectives.score(objective, weights, num_machines);
 }
 
 double current_score(const ScheduleEvaluator& evaluator, LsObjective objective,
                      const FitnessWeights& weights) {
-  return objective == LsObjective::kFitness
-             ? evaluator.fitness(weights)
-             : evaluator.makespan();
+  return evaluator.objectives().score(objective, weights,
+                                      evaluator.num_machines());
 }
 
 /// One LM step: random (job, machine); keep if improving.
@@ -73,6 +70,10 @@ bool step_steepest_move(const LocalSearchConfig& config,
 }
 
 /// One LMCTS step: best improving swap under the configured scan strategy.
+/// The deterministic scans run the evaluator's one-pass swap kernel per
+/// focus job, carrying the best score across focus jobs as the strict
+/// bound, so they pick the pair a (focus, partner-id)-ordered scan of
+/// preview_swap would; only kSampled previews pair by pair.
 bool step_lmcts(const LocalSearchConfig& config, const FitnessWeights& weights,
                 ScheduleEvaluator& evaluator, Rng& rng,
                 LocalSearchStats& stats) {
@@ -83,53 +84,39 @@ bool step_lmcts(const LocalSearchConfig& config, const FitnessWeights& weights,
   double best_score = current_score(evaluator, config.objective, weights);
   JobId best_a = -1;
   JobId best_b = -1;
-  auto consider = [&](JobId a, JobId b) {
-    const auto preview = evaluator.preview_swap(a, b);
-    ++stats.previews;
-    const double score = score_of(preview, config.objective, weights, m);
-    if (score < best_score) {
-      best_score = score;
+  auto scan = [&](JobId a, JobId first_partner) {
+    const auto pick = evaluator.best_swap(a, first_partner, best_score,
+                                          config.objective, weights);
+    stats.previews += pick.previews;
+    if (pick.partner >= 0) {
+      best_score = pick.score;
       best_a = a;
-      best_b = b;
+      best_b = pick.partner;
     }
   };
 
   switch (config.scan) {
     case LmctsScan::kCriticalRandomJob: {
-      const MachineId critical = evaluator.makespan_machine();
-      const auto& critical_jobs = evaluator.machine_jobs(critical);
+      const auto& critical_jobs =
+          evaluator.machine_jobs(evaluator.makespan_machine());
       if (critical_jobs.empty()) break;  // only ready time on the machine
-      const JobId a =
-          critical_jobs[static_cast<std::size_t>(
-                            rng.bounded(critical_jobs.size()))]
-              .second;
-      for (JobId b = 0; b < n; ++b) {
-        if (evaluator.schedule()[b] == critical) continue;
-        consider(a, b);
-      }
+      scan(critical_jobs[static_cast<std::size_t>(
+                             rng.bounded(critical_jobs.size()))]
+               .second,
+           0);
       break;
     }
     case LmctsScan::kCriticalAllJobs: {
-      const MachineId critical = evaluator.makespan_machine();
-      // By reference: consider() only previews, and previews never touch
-      // the job lists, so there is nothing to keep iteration robust
-      // against — and the copy was an allocation per LMCTS step.
-      const auto& critical_jobs = evaluator.machine_jobs(critical);
-      for (const auto& [etc_a, a] : critical_jobs) {
-        for (JobId b = 0; b < n; ++b) {
-          if (evaluator.schedule()[b] == critical) continue;
-          consider(a, b);
-        }
+      // By reference: the kernel only previews, and previews never touch
+      // the job lists.
+      for (const auto& [etc_a, a] :
+           evaluator.machine_jobs(evaluator.makespan_machine())) {
+        scan(a, 0);
       }
       break;
     }
     case LmctsScan::kFull: {
-      for (JobId a = 0; a < n; ++a) {
-        for (JobId b = a + 1; b < n; ++b) {
-          if (evaluator.schedule()[a] == evaluator.schedule()[b]) continue;
-          consider(a, b);
-        }
-      }
+      for (JobId a = 0; a < n; ++a) scan(a, a + 1);
       break;
     }
     case LmctsScan::kSampled: {
@@ -139,7 +126,14 @@ bool step_lmcts(const LocalSearchConfig& config, const FitnessWeights& weights,
         if (a == b || evaluator.schedule()[a] == evaluator.schedule()[b]) {
           continue;
         }
-        consider(a, b);
+        const auto preview = evaluator.preview_swap(a, b);
+        ++stats.previews;
+        const double score = score_of(preview, config.objective, weights, m);
+        if (score < best_score) {
+          best_score = score;
+          best_a = a;
+          best_b = b;
+        }
       }
       break;
     }

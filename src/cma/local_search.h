@@ -8,10 +8,11 @@
 //   LMCTS Local Minimum Completion Time Swap - the best improving swap of
 //                                  two jobs on different machines.
 //
-// The improvement metric defaults to the scalarized fitness (what the
-// replacement rule uses); a makespan-only mode matches the paper's
-// "reduction of the completion time" wording — both are kept and compared
-// in bench/ablation_local_search (DESIGN.md section 4).
+// The improvement metric (LsObjective, core/fitness.h) defaults to the
+// scalarized fitness (what the replacement rule uses); a makespan-only
+// mode matches the paper's "reduction of the completion time" wording —
+// both are kept and compared in bench/ablation_local_search (DESIGN.md
+// section 4).
 //
 // LMCTS pair scan: the paper's "the pair of jobs that yields the best
 // reduction in the completion time is applied" leaves the candidate set
@@ -19,8 +20,16 @@
 // the paper's 450 MHz testbed could have sustained at 37 offspring x 5 LS
 // steps per iteration — so the default mirrors LM/SLM's "one random focus
 // job per step" shape: a random job on the makespan machine is paired
-// against every other job (O(n) previews). The heavier scans are kept as
+// against every job on the other machines. The heavier scans are kept as
 // config options and compared in bench/ablation_local_search.
+//
+// Every scan but kSampled runs ScheduleEvaluator::best_swap once per
+// focus job — O(m + sum_b k_b + (n - k_c) k_c) for k_c jobs on the focus
+// job's machine, where previewing pair by pair paid n - k_c swap previews
+// of two rank counts each — with the best score so far as the strict
+// bound. It picks the pair, and the bitwise score, of a job-id-ordered
+// preview_swap scan keeping the first strict improvement
+// (tests/test_local_search.cpp holds it to that oracle).
 #pragma once
 
 #include <string_view>
@@ -47,7 +56,6 @@ enum class LocalSearchKind {
   kLmcts,
   kVns,
 };
-enum class LsObjective { kFitness, kMakespan };
 enum class LmctsScan {
   kCriticalRandomJob,  // random job on the makespan machine x all partners
   kCriticalAllJobs,    // every job on the makespan machine x all partners

@@ -47,26 +47,13 @@ EvolutionResult SynchronousCellularMa::run(
   Rng init_rng(config_.seed);
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
-  // Initial mesh: same recipe as the asynchronous engine, evaluated and
-  // improved through one evaluator.
-  const CellularMemeticAlgorithm initializer(config_);
+  // Initial mesh: the asynchronous engine's pass, with one split stream
+  // per cell for the local searches.
   std::vector<Individual> current;
   {
     ScheduleEvaluator evaluator(etc);
-    current = initializer.initialize_population(evaluator, init_rng);
-    initializer.apply_warm_start(current, warm, evaluator, &tracker);
-    for (Individual& individual : current) {
-      evaluator.reset_to(individual.schedule);
-      Rng rng = init_rng.split();
-      local_search(config_.local_search, config_.weights, evaluator, rng,
-                   config_.stop.cancel);
-      assign_from_evaluator(individual, evaluator, config_.weights);
-      tracker.count_evaluations();
-      tracker.offer(individual);
-      // Same early-out as the asynchronous engine: keep cancellation
-      // overshoot to one local-search pass, never less than one offer.
-      if (tracker.should_stop()) break;
-    }
+    current = CellularMemeticAlgorithm(config_).initialize_population(
+        evaluator, init_rng, warm, tracker, /*split_streams=*/true);
   }
 
   const Topology topology(config_.pop_height, config_.pop_width,

@@ -279,69 +279,74 @@ void ScheduleEvaluator::canonicalize() {
   rebuild_caches();
 }
 
+ScheduleEvaluator::Removal ScheduleEvaluator::removal(
+    const MachineState& state, double ready, std::size_t p) noexcept {
+  // The cached key is the same double the ETC matrix holds.
+  const std::size_t k = state.jobs.size();
+  const double e = state.jobs[p].first;
+  return {state.flow -
+              (ready + state.prefix[p] + static_cast<double>(k - p) * e),
+          (state.completion - ready) - e, k - 1, p, e};
+}
+
+std::size_t ScheduleEvaluator::insertion_rank(const MachineState& state,
+                                              double etc, JobId job) noexcept {
+  // A branchless strictly-less count over the contiguous key array, four
+  // independent accumulator chains so the compare/set latency overlaps
+  // (no serial binary-search dependency), then an id-ordered walk across
+  // the — almost always empty — tie range.
+  const double* keys = state.keys.data();
+  const std::size_t kk = state.keys.size();
+  std::size_t q0 = 0, q1 = 0, q2 = 0, q3 = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= kk; i += 4) {
+    q0 += keys[i] < etc ? 1u : 0u;
+    q1 += keys[i + 1] < etc ? 1u : 0u;
+    q2 += keys[i + 2] < etc ? 1u : 0u;
+    q3 += keys[i + 3] < etc ? 1u : 0u;
+  }
+  for (; i < kk; ++i) q0 += keys[i] < etc ? 1u : 0u;
+  std::size_t q = q0 + q1 + q2 + q3;
+  while (q < kk && keys[q] == etc && state.jobs[q].second < job) ++q;
+  return q;
+}
+
+std::pair<double, double> ScheduleEvaluator::insertion(
+    const MachineState& state, double ready, const Removal& base,
+    std::size_t q, double etc) noexcept {
+  double prefix_q = state.prefix[q];
+  if (q > base.at) {
+    // The removed job sat before the insertion point: one rank lower, and
+    // its ETC leaves the prefix.
+    --q;
+    prefix_q -= base.etc;
+  }
+  const double flow = base.flow + (ready + prefix_q +
+                                   static_cast<double>(base.k + 1 - q) * etc);
+  return {flow, ready + (base.sum + etc)};
+}
+
 std::pair<double, double> ScheduleEvaluator::flow_completion_with(
     MachineId m, JobId skip, JobId add_job, double add_etc) const {
   // Closed-form flow deltas over the cached prefix sums; rank lookups are
   // O(1) (position index) for the removal and a vectorized count for the
   // insertion.
-  //   remove at p (0-based, list size k):
-  //     flow -= ready + prefix[p] + (k - p) * e_p
-  //   insert x at q (list size k after removal):
-  //     flow += ready + prefix'(q) + (k + 1 - q) * x
   const auto& state = machines_[static_cast<std::size_t>(m)];
   const double ready = etc_->ready_time(m);
-  std::size_t k = state.jobs.size();
+  const std::size_t k = state.jobs.size();
   // An emptied machine contributes exactly {0, ready}; snapping here keeps
   // the closed form residue-free so apply can adopt the values verbatim.
   if (k - (skip >= 0 ? 1u : 0u) + (add_job >= 0 ? 1u : 0u) == 0) {
     return {0.0, ready};
   }
-  double flow = state.flow;
-  double sum = state.completion - ready;
-
-  std::size_t removed_at = k;  // sentinel: nothing removed
-  double removed_etc = 0.0;
-  if (skip >= 0) {
-    // The position index answers "where does skip sit in m's list" in O(1);
-    // the cached key is the same double the ETC matrix holds.
-    removed_at = static_cast<std::size_t>(
-        job_pos_[static_cast<std::size_t>(skip)]);
-    removed_etc = state.jobs[removed_at].first;
-    flow -= ready + state.prefix[removed_at] +
-            static_cast<double>(k - removed_at) * removed_etc;
-    sum -= removed_etc;
-    --k;
-  }
-  if (add_job >= 0) {
-    // Insertion rank of (add_etc, add_job) in the pre-removal list: a
-    // branchless strictly-less count over the contiguous key array, four
-    // independent accumulator chains so the compare/set latency overlaps
-    // (no serial binary-search dependency), then an id-ordered walk across
-    // the — almost always empty — tie range.
-    const double* keys = state.keys.data();
-    const std::size_t kk = state.keys.size();
-    std::size_t q0 = 0, q1 = 0, q2 = 0, q3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= kk; i += 4) {
-      q0 += keys[i] < add_etc ? 1u : 0u;
-      q1 += keys[i + 1] < add_etc ? 1u : 0u;
-      q2 += keys[i + 2] < add_etc ? 1u : 0u;
-      q3 += keys[i + 3] < add_etc ? 1u : 0u;
-    }
-    for (; i < kk; ++i) q0 += keys[i] < add_etc ? 1u : 0u;
-    std::size_t q = q0 + q1 + q2 + q3;
-    while (q < kk && keys[q] == add_etc && state.jobs[q].second < add_job) {
-      ++q;
-    }
-    double prefix_q = state.prefix[q];
-    if (q > removed_at) {
-      --q;
-      prefix_q -= removed_etc;
-    }
-    flow += ready + prefix_q + static_cast<double>(k + 1 - q) * add_etc;
-    sum += add_etc;
-  }
-  return {flow, ready + sum};
+  const Removal base =
+      skip >= 0 ? removal(state, ready,
+                          static_cast<std::size_t>(
+                              job_pos_[static_cast<std::size_t>(skip)]))
+                : Removal{state.flow, state.completion - ready, k, k, 0.0};
+  if (add_job < 0) return {base.flow, ready + base.sum};
+  return insertion(state, ready, base, insertion_rank(state, add_etc, add_job),
+                   add_etc);
 }
 
 PreviewResult ScheduleEvaluator::preview_move(JobId job, MachineId to) const {
@@ -383,6 +388,58 @@ PreviewResult ScheduleEvaluator::preview_swap(JobId a, JobId b) const {
   const double new_makespan =
       std::max(rest_completion(ma, mb), std::max(completion_a, completion_b));
   return {Objectives{std::max(0.0, new_makespan), new_flowtime}};
+}
+
+ScheduleEvaluator::SwapPick ScheduleEvaluator::best_swap(
+    JobId a, JobId first_partner, double bound, LsObjective objective,
+    const FitnessWeights& weights) const {
+  const MachineId ma = schedule_[a];
+  const MachineState& state_a = machines_[static_cast<std::size_t>(ma)];
+  const double ready_a = etc_->ready_time(ma);
+  // Once per focus job: a leaves its machine.
+  const Removal without_a = removal(
+      state_a, ready_a,
+      static_cast<std::size_t>(job_pos_[static_cast<std::size_t>(a)]));
+  const auto etc_on_a = etc_->machine_row(ma);
+  const int m = num_machines();
+
+  SwapPick pick{-1, bound, 0};
+  for (MachineId mb = 0; mb < m; ++mb) {
+    const MachineState& state_b = machines_[static_cast<std::size_t>(mb)];
+    if (mb == ma || state_b.jobs.empty()) continue;
+    // Once per destination machine: where a lands, and the fleet beyond
+    // the two machines.
+    const double ready_b = etc_->ready_time(mb);
+    const double a_on_b = (*etc_)(a, mb);
+    const std::size_t a_rank = insertion_rank(state_b, a_on_b, a);
+    const double rest = rest_completion(ma, mb);
+    for (std::size_t p = 0; p < state_b.jobs.size(); ++p) {
+      const JobId b = state_b.jobs[p].second;
+      if (b < first_partner) continue;
+      ++pick.previews;
+      // Same arithmetic, in the same order, as preview_swap(a, b).
+      const double b_on_a = etc_on_a[static_cast<std::size_t>(b)];
+      const auto [flow_a, completion_a] =
+          insertion(state_a, ready_a, without_a,
+                    insertion_rank(state_a, b_on_a, b), b_on_a);
+      const auto [flow_b, completion_b] =
+          insertion(state_b, ready_b, removal(state_b, ready_b, p), a_rank,
+                    a_on_b);
+      double flowtime = total_flow_ + (flow_a - state_a.flow);
+      flowtime += flow_b - state_b.flow;
+      const double makespan =
+          std::max(rest, std::max(completion_a, completion_b));
+      const double score = Objectives{std::max(0.0, makespan), flowtime}.score(
+          objective, weights, m);
+      // Machine-order walk, job-id-order answer: ties go to the lower id.
+      if (score < pick.score ||
+          (score == pick.score && pick.partner >= 0 && b < pick.partner)) {
+        pick.partner = b;
+        pick.score = score;
+      }
+    }
+  }
+  return pick;
 }
 
 void ScheduleEvaluator::apply_move(JobId job, MachineId to) {

@@ -11,6 +11,10 @@
 //     the running total plus two closed-form machine deltas, and the
 //     makespan is the maximum of the two new completion times and the
 //     first top-3 cache entry not owned by an affected machine,
+//   - scanning every swap partner of one job (`best_swap`, the LMCTS
+//     kernel) costs one pass over the other machines' lists: the job's
+//     removal is shared by all partners, its insertion rank and the
+//     rest-of-fleet makespan by all partners on one machine,
 //   - applying one costs O(k) for the two affected machines (sorted-list
 //     surgery plus a prefix-sum rebuild) and adopts the exact closed-form
 //     scalars the preview computed, so a preview is bitwise equal to
@@ -117,6 +121,26 @@ class ScheduleEvaluator {
   /// Precondition: schedule()[a] != schedule()[b].
   [[nodiscard]] PreviewResult preview_swap(JobId a, JobId b) const;
 
+  /// The best swap partner of a focus job, found in one pass.
+  struct SwapPick {
+    JobId partner = -1;         // -1: no partner scored below the bound
+    double score = 0.0;         // the partner's score (the bound if none)
+    std::int64_t previews = 0;  // partners scored
+  };
+
+  /// Scores swapping `a` with every job b >= `first_partner` on another
+  /// machine under `objective` and returns the lexicographic minimum of
+  /// (score, b) among the partners scoring strictly below `bound` — the
+  /// pair a job-id-ordered scan of preview_swap(a, b) keeping the first
+  /// strict improvement picks. Each partner's objectives are bitwise those
+  /// of preview_swap(a, b): both run the same closed forms, but here a's
+  /// removal is computed once per call and a's insertion rank and the
+  /// rest-of-fleet makespan once per destination machine, leaving one
+  /// rank count over a's machine per partner.
+  [[nodiscard]] SwapPick best_swap(JobId a, JobId first_partner, double bound,
+                                   LsObjective objective,
+                                   const FitnessWeights& weights) const;
+
   /// Moves job to machine `to`. Adopts the closed-form scalars a preview
   /// of the same edit computes, so preview_move(job, to) followed by
   /// apply_move(job, to) leaves makespan()/flowtime() bitwise equal to the
@@ -200,6 +224,33 @@ class ScheduleEvaluator {
   /// to {0.0, ready} exactly when the machine ends up empty.
   [[nodiscard]] std::pair<double, double> flow_completion_with(
       MachineId m, JobId skip, JobId add_job, double add_etc) const;
+
+  // The closed forms behind every preview, in one place so that
+  // flow_completion_with and best_swap round identically:
+  //   remove at p (0-based, list size k):
+  //     flow -= ready + prefix[p] + (k - p) * e_p
+  //   insert x at q (list size k after removal):
+  //     flow += ready + prefix'(q) + (k + 1 - q) * x
+  struct Removal {
+    double flow;     // machine flow without the removed job
+    double sum;      // busy time (completion - ready) without it
+    std::size_t k;   // list size after the removal
+    std::size_t at;  // removed rank (the pre-removal size when none)
+    double etc;      // removed job's ETC (0.0 when none)
+  };
+  /// Machine scalars with the job at rank p removed.
+  [[nodiscard]] static Removal removal(const MachineState& state, double ready,
+                                       std::size_t p) noexcept;
+  /// Rank of a virtual (etc, job) entry in the machine's (pre-removal)
+  /// sorted list.
+  [[nodiscard]] static std::size_t insertion_rank(const MachineState& state,
+                                                  double etc,
+                                                  JobId job) noexcept;
+  /// {flow, completion} after inserting `etc` at pre-removal rank q into
+  /// the list `base` describes.
+  [[nodiscard]] static std::pair<double, double> insertion(
+      const MachineState& state, double ready, const Removal& base,
+      std::size_t q, double etc) noexcept;
 
   const EtcMatrix* etc_;
   Schedule schedule_;

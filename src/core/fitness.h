@@ -8,6 +8,10 @@
 
 namespace gridsched {
 
+/// The scalar a local search minimizes: the scalarized fitness, or the
+/// makespan alone (the paper's "reduction of the completion time").
+enum class LsObjective { kFitness, kMakespan };
+
 struct FitnessWeights {
   double lambda = 0.75;
 
@@ -29,6 +33,14 @@ struct Objectives {
   [[nodiscard]] constexpr double fitness(const FitnessWeights& w,
                                          int num_machines) const noexcept {
     return w.combine(makespan, mean_flowtime(num_machines));
+  }
+
+  /// The value `objective` minimizes.
+  [[nodiscard]] constexpr double score(LsObjective objective,
+                                       const FitnessWeights& w,
+                                       int num_machines) const noexcept {
+    return objective == LsObjective::kFitness ? fitness(w, num_machines)
+                                              : makespan;
   }
 };
 

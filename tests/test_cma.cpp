@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "cma/sync_cma.h"
 #include "etc/instance.h"
 #include "heuristics/constructive.h"
 
@@ -182,18 +183,71 @@ TEST(Cma, RandomInitAlsoWorks) {
 
 TEST(Cma, InitialPopulationSeedsWithLjfrSjfr) {
   const EtcMatrix etc = small_instance();
-  const CellularMemeticAlgorithm cma(fast_config());
+  CmaConfig config = fast_config();
+  config.local_search.kind = LocalSearchKind::kNone;  // cells as drawn
+  const CellularMemeticAlgorithm cma(config);
   Rng rng(1);
   ScheduleEvaluator evaluator(etc);
-  const auto population = cma.initialize_population(evaluator, rng);
+  EvolutionTracker tracker(config.stop, false);
+  const auto population =
+      cma.initialize_population(evaluator, rng, {}, tracker, false);
   ASSERT_EQ(population.size(), 25u);
   EXPECT_EQ(population[0].schedule, ljfr_sjfr(etc));
+  EXPECT_EQ(tracker.evaluations(), 25);
   // The rest are perturbed copies, not duplicates of the seed.
   int identical = 0;
   for (std::size_t i = 1; i < population.size(); ++i) {
     identical += (population[i].schedule == population[0].schedule) ? 1 : 0;
   }
   EXPECT_EQ(identical, 0);
+}
+
+/// Every cell of a final population carries the fitness a fresh
+/// evaluation of its schedule gives, bitwise.
+void expect_truly_evaluated(const std::vector<Individual>& population,
+                            const EtcMatrix& etc, const std::string& label) {
+  ASSERT_EQ(population.size(), 25u) << label;
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    const Individual fresh =
+        make_individual(population[i].schedule, etc, FitnessWeights{});
+    EXPECT_EQ(population[i].fitness, fresh.fitness) << label << " cell " << i;
+    EXPECT_EQ(population[i].objectives.makespan, fresh.objectives.makespan)
+        << label << " cell " << i;
+    EXPECT_EQ(population[i].objectives.flowtime, fresh.objectives.flowtime)
+        << label << " cell " << i;
+  }
+}
+
+TEST(Cma, InitCutShortStillEvaluatesEveryCell) {
+  // A one-evaluation budget and a pre-cancelled token both stop the init
+  // pass after its first cell; the cells it never reached (warm or drawn)
+  // must still carry real fitness, on both engines.
+  const EtcMatrix etc = small_instance(Consistency::kInconsistent);
+  Rng warm_rng(3);
+  std::vector<Schedule> warm;
+  for (int e = 0; e < 3; ++e) {
+    warm.push_back(Schedule::random(etc.num_jobs(), etc.num_machines(),
+                                    warm_rng));
+  }
+  CancellationSource cancelled;
+  cancelled.request_cancel();
+  for (const bool pre_cancelled : {false, true}) {
+    for (const std::size_t warm_count : {std::size_t{0}, warm.size()}) {
+      CmaConfig config = fast_config(pre_cancelled ? 2'000 : 1);
+      if (pre_cancelled) config.stop.cancel = cancelled.token();
+      config.keep_final_population = true;
+      const std::span<const Schedule> cells(warm.data(), warm_count);
+      const std::string label =
+          std::string(pre_cancelled ? "cancelled" : "1-eval") +
+          " warm=" + std::to_string(warm_count);
+      const auto async = CellularMemeticAlgorithm(config).run(etc, cells);
+      EXPECT_EQ(async.iterations, 0) << label;
+      expect_truly_evaluated(async.population, etc, "async " + label);
+      const auto sync = SynchronousCellularMa(config).run(etc, cells);
+      EXPECT_EQ(sync.iterations, 0) << label;
+      expect_truly_evaluated(sync.population, etc, "sync " + label);
+    }
+  }
 }
 
 TEST(Cma, AddOnlyIfBetterKeepsPopulationFromWorsening) {
