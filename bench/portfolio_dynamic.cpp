@@ -1,17 +1,28 @@
 // Portfolio vs single-algorithm dynamic scheduling.
 //
 //   $ ./portfolio_dynamic [--minutes 10] [--budget-ms 25] [--seed 7]
+//   $ ./portfolio_dynamic --evals 1000 [--json BENCH_portfolio_dynamic.json]
 //
 // Four grid scenarios (consistent / inconsistent ETC, each with and
 // without machine churn) are replayed with the same arrival trace under
-// every scheduler: the constructive heuristics, the budgeted Struggle GA
-// and cMA, and the racing portfolio. For each scheduler we accumulate the
-// *batch fitness* of every activation's committed schedule (the quantity
-// the portfolio optimizes) next to the end-to-end simulation metrics, and
-// we track per-activation scheduling latency against the configured
-// budget. `--seeds N` repeats every scenario over N seeds and reports
-// mean ± 95% CI (common/stats).
+// every scheduler: the constructive heuristics, the Struggle GA and cMA
+// (each floored at Min-Min), and the racing portfolio. For each scheduler
+// we accumulate the *batch fitness* of every activation's committed
+// schedule (the quantity the portfolio optimizes) next to the end-to-end
+// simulation metrics, and we track per-activation scheduling latency.
+// `--seeds N` repeats every scenario over N seeds and reports mean ± 95%
+// CI (common/stats).
+//
+// Every row runs under one StopCondition per activation. By default that
+// is the wall-clock `--budget-ms`, so quality moves with host speed and
+// the verdicts are informational. `--evals N` bounds every row and every
+// portfolio member by N evaluations instead (the wall clock becomes a
+// 60 s backstop): the quality columns, the verdicts and the `--json`
+// report are then a pure function of the seed, and the bench exits 1 when
+// the portfolio trails the best single row in any scenario. The JSON
+// holds only those evaluation-determined numbers; latency stays on stdout.
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -24,6 +35,7 @@
 #include "common/cli.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
+#include "obs/bench_report.h"
 #include "portfolio/portfolio.h"
 #include "sim/grid_simulator.h"
 
@@ -41,10 +53,7 @@ class BatchFitnessProbe final : public BatchScheduler {
     return inner_.name();
   }
 
-  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override {
-    return schedule_batch(etc, BatchContext::identity(etc));
-  }
-
+  using BatchScheduler::schedule_batch;
   [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc,
                                         const BatchContext& ctx) override {
     Stopwatch watch;
@@ -93,6 +102,10 @@ int main(int argc, char** argv) {
   CliParser cli("Portfolio vs single-algorithm dynamic grid scheduling");
   cli.flag("minutes", "10", "simulated minutes of job arrivals");
   cli.flag("budget-ms", "25", "wall-clock budget per activation");
+  cli.flag("evals", "0",
+           "bound every row and portfolio member by this many evaluations "
+           "per activation (0 = wall clock only)");
+  cli.flag("json", "", "with --evals, write every verdict as JSON here");
   cli.flag("rate", "0.5", "job arrivals per simulated second");
   cli.flag("period", "60", "scheduler activation period (simulated s)");
   cli.flag("seed", "7", "simulation seed");
@@ -101,6 +114,27 @@ int main(int argc, char** argv) {
   const int seeds = static_cast<int>(cli.get_int("seeds"));
 
   const double budget_ms = cli.get_double("budget-ms");
+  const long long evals = cli.get_int("evals");
+  if (!(budget_ms > 0 && std::isfinite(budget_ms))) {
+    std::cerr << "portfolio_dynamic: --budget-ms must be finite and > 0, got "
+              << budget_ms << "\n";
+    return 2;
+  }
+  if (evals < 0) {
+    std::cerr << "portfolio_dynamic: --evals must be >= 0\n";
+    return 2;
+  }
+  if (!cli.get("json").empty() && evals == 0) {
+    std::cerr << "portfolio_dynamic: --json needs --evals (wall-clock "
+                 "results are not reproducible)\n";
+    return 2;
+  }
+  // One stop condition for every row and every portfolio member.
+  constexpr double kBackstopMs = 60'000.0;
+  const StopCondition stop =
+      evals > 0 ? StopCondition{.max_time_ms = kBackstopMs,
+                                .max_evaluations = evals}
+                : StopCondition{.max_time_ms = budget_ms};
   SimConfig base;
   base.horizon = cli.get_double("minutes") * 60.0;
   base.arrival_rate = cli.get_double("rate");
@@ -118,12 +152,17 @@ int main(int argc, char** argv) {
   };
 
   std::cout << "=== portfolio vs single-algorithm dynamic scheduling ===\n"
-            << "budget " << budget_ms << " ms/activation, "
+            << "budget "
+            << (evals > 0 ? std::to_string(evals) + " evaluations"
+                          : TablePrinter::num(budget_ms, 1) + " ms")
+            << "/activation, "
             << base.num_machines << " machines, " << base.arrival_rate
             << " jobs/s for " << base.horizon << " s, period "
             << base.scheduler_period << " s, seed " << base.seed << "\n\n";
 
   int scenarios_where_portfolio_wins = 0;
+  obs::BenchReport report{.bench = "portfolio_dynamic", .ok = true,
+                          .verdicts = {}};
   for (const Scenario& scenario : scenarios) {
     SimConfig sim_config = base;
     sim_config.consistency_noise = scenario.noise;
@@ -181,29 +220,34 @@ int main(int argc, char** argv) {
       outcomes.push_back(std::move(outcome));
     };
 
-    // --- Single-algorithm baselines. ---
-    simulate([](std::uint64_t) {
-      return std::make_unique<HeuristicBatchScheduler>(HeuristicKind::kMct);
-    });
-    simulate([](std::uint64_t) {
-      return std::make_unique<HeuristicBatchScheduler>(HeuristicKind::kMinMin);
+    // --- Single-algorithm baselines; the search rows are floored at
+    // Min-Min. ---
+    for (const HeuristicKind kind : {HeuristicKind::kMct,
+                                     HeuristicKind::kMinMin}) {
+      simulate([&](std::uint64_t) {
+        return std::make_unique<MemberBatchScheduler>(
+            std::make_unique<HeuristicMember>(kind), stop);
+      });
+    }
+    simulate([&](std::uint64_t) {
+      return std::make_unique<MemberBatchScheduler>(
+          std::make_unique<FlooredMember>(
+              std::make_unique<StruggleGaMember>(StruggleGaConfig{})),
+          stop);
     });
     simulate([&](std::uint64_t) {
       return std::make_unique<MemberBatchScheduler>(
-          std::make_unique<StruggleGaMember>(StruggleGaConfig{}), budget_ms);
-    });
-    simulate([&](std::uint64_t) {
-      return std::make_unique<MemberBatchScheduler>(
-          std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false),
-          budget_ms);
+          std::make_unique<FlooredMember>(
+              std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false)),
+          stop);
     });
     const std::size_t num_single = outcomes.size();
 
-    // --- The portfolio: every member races every activation under one
-    // shared deadline, MCT/Min-Min as the safety net. ---
+    // --- The portfolio: every member races every activation under the
+    // same stop condition, MCT/Min-Min as the safety net. ---
     simulate([&](std::uint64_t seed) {
       PortfolioConfig config;
-      config.budget_ms = budget_ms;
+      config.stop = stop;
       config.seed = seed;
       return std::make_unique<PortfolioBatchScheduler>(
           config, PortfolioBatchScheduler::default_members(config));
@@ -229,20 +273,38 @@ int main(int argc, char** argv) {
     const bool wins = portfolio.cumulative_fitness.mean() <=
                       best_single * (1.0 + 1e-9);
     if (wins) ++scenarios_where_portfolio_wins;
+    const double gap_pct =
+        (portfolio.cumulative_fitness.mean() - best_single) / best_single *
+        100.0;
     std::cout << "verdict: " << portfolio.scheduler
               << (wins ? " matches or beats " : " trails ")
               << "the best single member (" << best_single_name << ") by "
-              << TablePrinter::pct(
-                     (best_single - portfolio.cumulative_fitness.mean()) /
-                         best_single * 100.0,
-                     2)
+              << TablePrinter::pct(-gap_pct, 2)
               << "% cumulative batch fitness; max portfolio latency "
               << TablePrinter::num(portfolio.max_latency_ms.max(), 1)
-              << " ms against a " << budget_ms << " ms budget\n\n";
+              << " ms against a " << stop.max_time_ms << " ms deadline\n\n";
+
+    obs::BenchVerdict verdict{.name = scenario.name, .ok = wins,
+                              .metrics = {}, .histograms = {}};
+    for (const Outcome& outcome : outcomes) {
+      const std::string& row = outcome.scheduler;
+      verdict.metrics.emplace_back(row + "_jobs_completed",
+                                   outcome.jobs.mean());
+      verdict.metrics.emplace_back(row + "_makespan", outcome.makespan.mean());
+      verdict.metrics.emplace_back(row + "_flowtime", outcome.flowtime.mean());
+      verdict.metrics.emplace_back(row + "_cum_fitness",
+                                   outcome.cumulative_fitness.mean());
+    }
+    report.ok = report.ok && wins;
+    report.verdicts.push_back(std::move(verdict));
   }
 
   std::cout << "portfolio matched or beat the best single member in "
             << scenarios_where_portfolio_wins << "/" << scenarios.size()
             << " scenarios\n";
-  return 0;
+  if (evals == 0) return 0;  // wall-clock verdicts move with host speed
+  if (!cli.get("json").empty() && !report.write_file(cli.get("json"))) {
+    return 2;
+  }
+  return report.ok ? 0 : 1;
 }

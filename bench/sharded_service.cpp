@@ -712,9 +712,10 @@ int main(int argc, char** argv) {
     spec.num_machines = 8;
     const EtcMatrix anchor_etc = generate_instance(spec);
     PortfolioConfig portfolio_config;
-    portfolio_config.budget_ms = 60'000.0;  // generous: evaluations bind
+    // A generous deadline: the evaluation bound binds.
+    portfolio_config.stop = {.max_time_ms = 60'000.0,
+                             .max_evaluations = 20'000};
     portfolio_config.threads = 2;
-    portfolio_config.member_stop.max_evaluations = 20'000;
     portfolio_config.seed = base.seed;
     PortfolioBatchScheduler portfolio(
         portfolio_config,
@@ -728,7 +729,7 @@ int main(int argc, char** argv) {
     const bool anchor_ok = makespan >= bound.value * (1.0 - 1e-9);
     std::cout << "verdict: quality anchor (" << spec.num_jobs << "x"
               << spec.num_machines << " " << spec.name() << ", "
-              << portfolio_config.member_stop.max_evaluations
+              << portfolio_config.stop.max_evaluations
               << " evals/member, seed " << base.seed << "): makespan "
               << TablePrinter::num(makespan, 1) << " vs lower bound "
               << TablePrinter::num(bound.value, 1) << " -> gap "

@@ -55,6 +55,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,6 +66,7 @@
 #include "common/stats.h"
 #include "common/stopwatch.h"
 #include "obs/bench_report.h"
+#include "portfolio/member.h"
 #include "service/sharded_driver.h"
 #include "workload/swf_io.h"
 #include "workload/trace_io.h"
@@ -95,7 +97,8 @@ bool same_record(const SimJobRecord& a, const SimJobRecord& b) {
 /// through its text format, replay, and compare every per-job record.
 RoundTrip record_and_replay(const SimConfig& config) {
   GridSimulator recorded(config);
-  HeuristicBatchScheduler record_sched(HeuristicKind::kMinMin);
+  MemberBatchScheduler record_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   (void)recorded.run(record_sched);
   const std::vector<SimJobRecord> original = recorded.job_records();
 
@@ -108,7 +111,8 @@ RoundTrip record_and_replay(const SimConfig& config) {
   replay_config.workload =
       std::make_shared<TraceWorkloadSource>(read_trace(in));
   GridSimulator replayed(replay_config);
-  HeuristicBatchScheduler replay_sched(HeuristicKind::kMinMin);
+  MemberBatchScheduler replay_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   (void)replayed.run(replay_sched);
 
   const std::vector<SimJobRecord>& replay = replayed.job_records();
@@ -134,7 +138,8 @@ ChurnRoundTrip churn_round_trip(const SimConfig& base) {
   config.machine_mtbf = config.scheduler_period * 4.0;
   config.machine_mttr = config.scheduler_period;
   GridSimulator recorded(config);
-  HeuristicBatchScheduler record_sched(HeuristicKind::kMinMin);
+  MemberBatchScheduler record_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics original = recorded.run(record_sched);
 
   ChurnRoundTrip result;
@@ -157,7 +162,8 @@ ChurnRoundTrip churn_round_trip(const SimConfig& base) {
   replay_config.churn_replay = std::make_shared<const std::vector<ChurnEvent>>(
       read_churn_trace(churn_in));
   GridSimulator replayed(replay_config);
-  HeuristicBatchScheduler replay_sched(HeuristicKind::kMinMin);
+  MemberBatchScheduler replay_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   (void)replayed.run(replay_sched);
 
   if (replayed.churn_trace() != recorded.churn_trace()) return result;
@@ -360,7 +366,8 @@ int main(int argc, char** argv) {
     materialized_config.workload =
         std::make_shared<TraceWorkloadSource>(jobs);
     GridSimulator materialized(materialized_config);
-    HeuristicBatchScheduler sched_a(HeuristicKind::kMinMin);
+    MemberBatchScheduler sched_a(
+        std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
     const SimMetrics metrics_a = materialized.run(sched_a);
 
     SimConfig streaming_config = swf_config;
@@ -373,7 +380,8 @@ int main(int argc, char** argv) {
         [&observed](const SimJobRecord& record, const TraceJob&) {
           observed.push_back(record);
         });
-    HeuristicBatchScheduler sched_b(HeuristicKind::kMinMin);
+    MemberBatchScheduler sched_b(
+        std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
     const SimMetrics metrics_b = streamed.run(sched_b);
 
     bool parity = observed.size() == materialized.job_records().size() &&

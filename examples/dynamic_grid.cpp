@@ -13,6 +13,7 @@
 // previous activation's elites. All runs share the arrival trace; --churn
 // adds machine failures and repairs.
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <memory>
 
@@ -31,6 +32,12 @@ int main(int argc, char** argv) {
   cli.flag("period", "120", "scheduler activation period (simulated s)");
   cli.flag("churn", "false", "enable machine failures (MTBF 20 min)");
   if (!cli.parse(argc, argv)) return 0;
+  const double budget_ms = cli.get_double("budget-ms");
+  if (!(budget_ms > 0 && std::isfinite(budget_ms))) {
+    std::cerr << "dynamic_grid: --budget-ms must be finite and > 0, got "
+              << budget_ms << "\n";
+    return 2;
+  }
 
   // A grid at ~70% load with ~70-job batches: heavy enough that placement
   // matters, light enough that queueing does not drown the scheduler out.
@@ -72,19 +79,22 @@ int main(int argc, char** argv) {
     return metrics;
   };
 
-  HeuristicBatchScheduler mct_sched(HeuristicKind::kMct);
+  MemberBatchScheduler mct_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   const SimMetrics mct_metrics = simulate(mct_sched);
 
-  HeuristicBatchScheduler minmin_sched(HeuristicKind::kMinMin);
+  MemberBatchScheduler minmin_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics minmin_metrics = simulate(minmin_sched);
 
   MemberBatchScheduler cma_sched(  // Table 1 defaults
-      std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false),
-      cli.get_double("budget-ms"));
+      std::make_unique<FlooredMember>(
+          std::make_unique<CmaMember>(CmaConfig{}, /*synchronous=*/false)),
+      StopCondition{.max_time_ms = budget_ms});
   const SimMetrics cma_metrics = simulate(cma_sched);
 
   PortfolioConfig portfolio_config;
-  portfolio_config.budget_ms = cli.get_double("budget-ms");
+  portfolio_config.stop.max_time_ms = budget_ms;
   portfolio_config.seed = sim_config.seed;
   PortfolioBatchScheduler portfolio(
       portfolio_config,

@@ -9,10 +9,12 @@
 // show that the replay reproduced the run exactly.
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "benchutil/table.h"
+#include "portfolio/member.h"
 #include "sim/grid_simulator.h"
 #include "workload/trace_io.h"
 
@@ -63,7 +65,8 @@ int main() {
   config.workload = make_workload(WorkloadKind::kBursty, rate, config.horizon);
 
   GridSimulator recorded(config);
-  HeuristicBatchScheduler record_sched(HeuristicKind::kMinMin);
+  MemberBatchScheduler record_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics original = recorded.run(record_sched);
 
   std::ostringstream trace_text;
@@ -76,7 +79,8 @@ int main() {
   replay_config.workload =
       std::make_shared<TraceWorkloadSource>(read_trace(in));
   GridSimulator replayed(replay_config);
-  HeuristicBatchScheduler replay_sched(HeuristicKind::kMinMin);
+  MemberBatchScheduler replay_sched(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics replay = replayed.run(replay_sched);
 
   std::cout << "original: makespan " << original.makespan << " s, flowtime "

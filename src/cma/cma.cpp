@@ -17,9 +17,7 @@ CellularMemeticAlgorithm::CellularMemeticAlgorithm(CmaConfig config)
   if (config_.parents_per_recombination < 2) {
     throw std::invalid_argument("CmaConfig: need at least 2 parents");
   }
-  if (!config_.stop.any_enabled()) {
-    throw std::invalid_argument("CmaConfig: no stop condition enabled");
-  }
+  config_.stop.require_bound("CmaConfig");
 }
 
 std::vector<Individual> CellularMemeticAlgorithm::initialize_population(

@@ -30,9 +30,7 @@ SynchronousCellularMa::SynchronousCellularMa(CmaConfig config, int threads)
   if (config_.parents_per_recombination < 2) {
     throw std::invalid_argument("SyncCma: need at least 2 parents");
   }
-  if (!config_.stop.any_enabled()) {
-    throw std::invalid_argument("SyncCma: no stop condition enabled");
-  }
+  config_.stop.require_bound("SyncCma");
   if (threads_ < 0) {
     throw std::invalid_argument("SyncCma: negative thread count");
   }

@@ -2,7 +2,11 @@
 // stop conditions, progress traces, and the result bundle benches consume.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -12,7 +16,7 @@
 namespace gridsched {
 
 /// A run stops as soon as ANY enabled bound is hit. Bounds set to 0 are
-/// disabled; at least one must be enabled.
+/// disabled; every engine needs at least one enabled.
 struct StopCondition {
   double max_time_ms = 0.0;
   std::int64_t max_evaluations = 0;
@@ -29,6 +33,30 @@ struct StopCondition {
   [[nodiscard]] bool any_enabled() const noexcept {
     return max_time_ms > 0 || max_evaluations > 0 || max_iterations > 0 ||
            max_stagnation > 0 || cancel.valid();
+  }
+
+  /// Throws std::invalid_argument naming `owner` and the field when a
+  /// bound is NaN, negative or infinite (all disabled passes).
+  void validate(std::string_view owner) const {
+    const auto check = [owner](bool ok, std::string_view field) {
+      if (ok) return;
+      throw std::invalid_argument(std::string(owner) + ": stop." +
+                                  std::string(field) +
+                                  " must be finite and >= 0 (0 = disabled)");
+    };
+    check(max_time_ms >= 0 && std::isfinite(max_time_ms), "max_time_ms");
+    check(max_evaluations >= 0, "max_evaluations");
+    check(max_iterations >= 0, "max_iterations");
+    check(max_stagnation >= 0, "max_stagnation");
+  }
+
+  /// validate(), and at least one bound enabled: what a search loop needs.
+  void require_bound(std::string_view owner) const {
+    validate(owner);
+    if (!any_enabled()) {
+      throw std::invalid_argument(std::string(owner) +
+                                  ": no stop condition enabled");
+    }
   }
 };
 

@@ -13,9 +13,7 @@ BraunGa::BraunGa(BraunGaConfig config) : config_(std::move(config)) {
       config_.elite_count >= config_.population_size) {
     throw std::invalid_argument("BraunGa: bad elite count");
   }
-  if (!config_.stop.any_enabled()) {
-    throw std::invalid_argument("BraunGa: no stop condition enabled");
-  }
+  config_.stop.require_bound("BraunGa");
 }
 
 EvolutionResult BraunGa::run(const EtcMatrix& etc) const {

@@ -22,9 +22,7 @@ SteadyStateGa::SteadyStateGa(SteadyStateGaConfig config)
   if (config_.population_size < 2) {
     throw std::invalid_argument("SteadyStateGa: population must hold >= 2");
   }
-  if (!config_.stop.any_enabled()) {
-    throw std::invalid_argument("SteadyStateGa: no stop condition enabled");
-  }
+  config_.stop.require_bound("SteadyStateGa");
 }
 
 EvolutionResult SteadyStateGa::run(const EtcMatrix& etc) const {

@@ -234,11 +234,6 @@ std::span<const HeuristicKind> all_heuristics() noexcept {
 }
 
 Schedule construct_schedule(HeuristicKind kind, const EtcMatrix& etc,
-                            Rng& rng) {
-  return construct_schedule(kind, etc, rng, CancellationToken{});
-}
-
-Schedule construct_schedule(HeuristicKind kind, const EtcMatrix& etc,
                             Rng& rng, const CancellationToken& cancel) {
   switch (kind) {
     case HeuristicKind::kLjfrSjfr: return ljfr_sjfr(etc, cancel);
@@ -252,10 +247,6 @@ Schedule construct_schedule(HeuristicKind kind, const EtcMatrix& etc,
       return Schedule::random(etc.num_jobs(), etc.num_machines(), rng);
   }
   throw std::invalid_argument("construct_schedule: unknown heuristic");
-}
-
-Schedule ljfr_sjfr(const EtcMatrix& etc) {
-  return ljfr_sjfr(etc, CancellationToken{});
 }
 
 Schedule ljfr_sjfr(const EtcMatrix& etc, const CancellationToken& cancel) {
@@ -327,13 +318,6 @@ Schedule ljfr_sjfr(const EtcMatrix& etc, const CancellationToken& cancel) {
   return schedule;
 }
 
-Schedule min_min(const EtcMatrix& etc) {
-  // Delegation keeps the budget-honoring variant bit-identical by
-  // construction (an invalid token never fires, so the whole schedule is
-  // the committed prefix).
-  return min_min(etc, CancellationToken{});
-}
-
 Schedule min_min(const EtcMatrix& etc, const CancellationToken& cancel) {
   // Highest score = smallest best completion: negation is exact, so the
   // first strict maximum of -c is the first strict minimum of c.
@@ -343,19 +327,11 @@ Schedule min_min(const EtcMatrix& etc, const CancellationToken& cancel) {
   });
 }
 
-Schedule max_min(const EtcMatrix& etc) {
-  return max_min(etc, CancellationToken{});
-}
-
 Schedule max_min(const EtcMatrix& etc, const CancellationToken& cancel) {
   return greedy_batch(etc, cancel, [](const MachineLoads& loads, JobId j) {
     const auto b = loads.best(j);
     return Pick{b.machine, -1, b.completion};
   });
-}
-
-Schedule sufferage(const EtcMatrix& etc) {
-  return sufferage(etc, CancellationToken{});
 }
 
 Schedule sufferage(const EtcMatrix& etc, const CancellationToken& cancel) {
@@ -371,8 +347,6 @@ Schedule sufferage(const EtcMatrix& etc, const CancellationToken& cancel) {
   });
 }
 
-Schedule mct(const EtcMatrix& etc) { return mct(etc, CancellationToken{}); }
-
 Schedule mct(const EtcMatrix& etc, const CancellationToken& cancel) {
   Schedule schedule(etc.num_jobs());
   MachineLoads loads(etc);
@@ -385,8 +359,6 @@ Schedule mct(const EtcMatrix& etc, const CancellationToken& cancel) {
   }
   return schedule;
 }
-
-Schedule met(const EtcMatrix& etc) { return met(etc, CancellationToken{}); }
 
 Schedule met(const EtcMatrix& etc, const CancellationToken& cancel) {
   Schedule schedule(etc.num_jobs());
@@ -403,8 +375,6 @@ Schedule met(const EtcMatrix& etc, const CancellationToken& cancel) {
   }
   return schedule;
 }
-
-Schedule olb(const EtcMatrix& etc) { return olb(etc, CancellationToken{}); }
 
 Schedule olb(const EtcMatrix& etc, const CancellationToken& cancel) {
   Schedule schedule(etc.num_jobs());

@@ -53,20 +53,17 @@ enum class HeuristicKind {
 /// Runs one heuristic. `rng` is only consumed by kRandom (and for
 /// deterministic tie-breaking elsewhere it is not needed: ties break toward
 /// the lowest machine id so results are reproducible without randomness).
-[[nodiscard]] Schedule construct_schedule(HeuristicKind kind,
-                                          const EtcMatrix& etc, Rng& rng);
-
-/// Budget-honoring variant: threads `cancel` into the heuristic (see the
-/// per-function contracts below). kRandom is O(n) and ignores the token.
+/// `cancel` is threaded into the heuristic (see the per-function contracts
+/// below); kRandom is O(n) and ignores it.
 [[nodiscard]] Schedule construct_schedule(HeuristicKind kind,
                                           const EtcMatrix& etc, Rng& rng,
-                                          const CancellationToken& cancel);
+                                          const CancellationToken& cancel = {});
 
-// Every heuristic has a budget-honoring overload taking a
-// CancellationToken. The shared contract, mirrored from Min-Min's: the
-// committed prefix is exactly what the plain form would have built, so an
-// unfired (or invalid) token yields the identical schedule, and a fired
-// one still returns a COMPLETE schedule via a strictly cheaper tail rule:
+// Every heuristic honors an optional CancellationToken. The shared
+// contract, mirrored from Min-Min's: the committed prefix is exactly what
+// an uncancelled run would have built, so an unfired (or invalid, the
+// default) token yields the identical schedule, and a fired one still
+// returns a COMPLETE schedule via a strictly cheaper tail rule:
 //
 //   * the batch heuristics (Min-Min, Max-Min, Sufferage: n commit rounds,
 //     each an O(n) pick over cached scores plus re-scoring the jobs whose
@@ -80,30 +77,23 @@ enum class HeuristicKind {
 //     the activation deadline (the portfolio's ensemble rule discards a
 //     degraded member result whenever a better one finished in time).
 
-[[nodiscard]] Schedule ljfr_sjfr(const EtcMatrix& etc);
 [[nodiscard]] Schedule ljfr_sjfr(const EtcMatrix& etc,
-                                 const CancellationToken& cancel);
+                                 const CancellationToken& cancel = {});
 // The batch heuristics' cached picks are exact — bitwise the schedule a
 // full O(n^2 m) rescan per round would build — provided every ETC entry
 // and ready time is finite and every ETC entry is >= 0 (constructive.cpp,
 // greedy_batch). Other inputs still yield a complete schedule.
-[[nodiscard]] Schedule min_min(const EtcMatrix& etc);
 [[nodiscard]] Schedule min_min(const EtcMatrix& etc,
-                               const CancellationToken& cancel);
-[[nodiscard]] Schedule max_min(const EtcMatrix& etc);
+                               const CancellationToken& cancel = {});
 [[nodiscard]] Schedule max_min(const EtcMatrix& etc,
-                               const CancellationToken& cancel);
-[[nodiscard]] Schedule mct(const EtcMatrix& etc);
+                               const CancellationToken& cancel = {});
 [[nodiscard]] Schedule mct(const EtcMatrix& etc,
-                           const CancellationToken& cancel);
-[[nodiscard]] Schedule met(const EtcMatrix& etc);
+                           const CancellationToken& cancel = {});
 [[nodiscard]] Schedule met(const EtcMatrix& etc,
-                           const CancellationToken& cancel);
-[[nodiscard]] Schedule olb(const EtcMatrix& etc);
+                           const CancellationToken& cancel = {});
 [[nodiscard]] Schedule olb(const EtcMatrix& etc,
-                           const CancellationToken& cancel);
-[[nodiscard]] Schedule sufferage(const EtcMatrix& etc);
+                           const CancellationToken& cancel = {});
 [[nodiscard]] Schedule sufferage(const EtcMatrix& etc,
-                                 const CancellationToken& cancel);
+                                 const CancellationToken& cancel = {});
 
 }  // namespace gridsched

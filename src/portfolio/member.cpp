@@ -11,15 +11,24 @@
 namespace gridsched {
 namespace {
 
-/// Elites for the cache: the final population sorted best-first, or just
-/// the best individual when the engine keeps no population.
-std::vector<Individual> rank_elites(EvolutionResult& result) {
-  if (result.population.empty()) return {result.best};
-  std::stable_sort(result.population.begin(), result.population.end(),
-                   [](const Individual& a, const Individual& b) {
-                     return a.fitness < b.fitness;
-                   });
-  return std::move(result.population);
+/// One engine run as a member result. Elites for the cache: the final
+/// population sorted best-first, or just the best individual when the
+/// engine keeps no population.
+MemberResult from_evolution(EvolutionResult& evolved, const Stopwatch& watch) {
+  MemberResult result;
+  result.best = evolved.best;
+  result.evaluations = evolved.evaluations;
+  if (evolved.population.empty()) {
+    result.elites = {evolved.best};
+  } else {
+    std::stable_sort(evolved.population.begin(), evolved.population.end(),
+                     [](const Individual& a, const Individual& b) {
+                       return a.fitness < b.fitness;
+                     });
+    result.elites = std::move(evolved.population);
+  }
+  result.elapsed_ms = watch.elapsed_ms();
+  return result;
 }
 
 }  // namespace
@@ -74,12 +83,7 @@ MemberResult CmaMember::solve(const EtcMatrix& etc, const StopCondition& stop,
   EvolutionResult evolved =
       synchronous_ ? SynchronousCellularMa(config, /*threads=*/0).run(etc, warm)
                    : CellularMemeticAlgorithm(config).run(etc, warm);
-  MemberResult result;
-  result.best = evolved.best;
-  result.evaluations = evolved.evaluations;
-  result.elites = rank_elites(evolved);
-  result.elapsed_ms = watch.elapsed_ms();
-  return result;
+  return from_evolution(evolved, watch);
 }
 
 LahcMember::LahcMember(LahcConfig config) : config_(config) {}
@@ -89,6 +93,7 @@ std::string_view LahcMember::name() const noexcept { return "LAHC"; }
 MemberResult LahcMember::solve(const EtcMatrix& etc, const StopCondition& stop,
                                std::span<const Schedule> warm,
                                std::uint64_t seed) {
+  stop.require_bound("LAHC");
   Stopwatch watch;
   Rng rng(seed);
   const int n = etc.num_jobs();
@@ -200,37 +205,40 @@ MemberResult StruggleGaMember::solve(const EtcMatrix& etc,
   config.population_size =
       std::min(config.population_size, std::max(2, etc.num_jobs() * 4));
   EvolutionResult evolved = StruggleGa(config).run(etc);
-  MemberResult result;
-  result.best = evolved.best;
-  result.evaluations = evolved.evaluations;
-  result.elites = {result.best};
+  return from_evolution(evolved, watch);
+}
+
+FlooredMember::FlooredMember(std::unique_ptr<PortfolioMember> inner)
+    : inner_(std::move(inner)) {}
+
+MemberResult FlooredMember::solve(const EtcMatrix& etc,
+                                  const StopCondition& stop,
+                                  std::span<const Schedule> warm,
+                                  std::uint64_t seed) {
+  if (etc.num_jobs() == 1) {
+    return HeuristicMember(HeuristicKind::kMct, weights())
+        .solve(etc, StopCondition{}, warm, seed);
+  }
+  Stopwatch watch;
+  MemberResult result = inner_->solve(etc, stop, warm, seed);
+  Individual floor = make_individual(min_min(etc), etc, weights());
+  ++result.evaluations;
+  if (floor.fitness < result.best.fitness) result.best = std::move(floor);
   result.elapsed_ms = watch.elapsed_ms();
   return result;
 }
 
 MemberBatchScheduler::MemberBatchScheduler(
-    std::unique_ptr<PortfolioMember> member, double budget_ms)
-    : member_(std::move(member)), budget_ms_(budget_ms) {}
-
-std::string_view MemberBatchScheduler::name() const noexcept {
-  return member_->name();
+    std::unique_ptr<PortfolioMember> member, StopCondition stop)
+    : member_(std::move(member)), stop_(stop) {
+  stop_.validate("MemberBatchScheduler");
 }
 
-Schedule MemberBatchScheduler::schedule_batch(const EtcMatrix& etc) {
+Schedule MemberBatchScheduler::schedule_batch(
+    const EtcMatrix& etc, const BatchContext& /*context*/) {
   constexpr std::uint64_t kBaseSeed = 1;
   const std::uint64_t seed = splitmix64(++activation_) ^ kBaseSeed;
-  if (etc.num_jobs() == 1) {
-    Schedule s(1);
-    s[0] = mct(etc)[0];
-    return s;
-  }
-  MemberResult result = member_->solve(
-      etc, StopCondition{.max_time_ms = budget_ms_}, {}, seed);
-  const Individual fallback =
-      make_individual(min_min(etc), etc, member_->weights());
-  return fallback.fitness < result.best.fitness
-             ? fallback.schedule
-             : std::move(result.best.schedule);
+  return std::move(member_->solve(etc, stop_, {}, seed).best.schedule);
 }
 
 }  // namespace gridsched

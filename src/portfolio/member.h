@@ -7,7 +7,12 @@
 // Members must honor the stop condition cooperatively — the portfolio
 // never kills threads — and must always return a complete schedule, even
 // when cancelled before their first iteration (every member here falls
-// back to a constructive solution at worst).
+// back to a constructive solution at worst). Search members throw
+// std::invalid_argument on a stop condition with no bound enabled.
+//
+// MemberBatchScheduler, at the bottom, runs one member alone as the
+// simulator's BatchScheduler; FlooredMember floors a search member at
+// Min-Min.
 #pragma once
 
 #include <memory>
@@ -143,26 +148,53 @@ class StruggleGaMember final : public PortfolioMember {
   StruggleGaConfig config_;
 };
 
-/// Runs one member alone as the dynamic grid's batch scheduler, for a
-/// fixed short wall-clock budget per activation — the paper's "cMA in
-/// batch mode for a very short time". Each activation draws a fresh seed
-/// from a fixed base seed, so repeated batches do not replay one stream.
-/// Single-job batches shortcut to MCT. The member's answer is ensembled
-/// with Min-Min (the strongest constructive heuristic) under the member's
-/// own weights: whichever has the better batch fitness wins, so a
-/// too-short budget can never make the dynamic scheduler worse than its
-/// constructive fallback.
+/// A search member never worse than Min-Min: Min-Min's schedule replaces
+/// the inner member's best when it scores strictly better under the
+/// member's own weights, so a too-short budget cannot undercut the
+/// constructive fallback. Single-job batches shortcut to MCT without
+/// searching. The cMA needs the extra Min-Min run (its mesh starts from
+/// LJFR-SJFR, never Min-Min); the Struggle GA seeds Min-Min itself, so
+/// its row gains the shortcut and pays ~0.1% of a 25 ms budget.
+class FlooredMember final : public PortfolioMember {
+ public:
+  explicit FlooredMember(std::unique_ptr<PortfolioMember> inner);
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+  [[nodiscard]] FitnessWeights weights() const noexcept override {
+    return inner_->weights();
+  }
+  [[nodiscard]] MemberResult solve(const EtcMatrix& etc,
+                                   const StopCondition& stop,
+                                   std::span<const Schedule> warm,
+                                   std::uint64_t seed) override;
+
+ private:
+  std::unique_ptr<PortfolioMember> inner_;
+};
+
+/// Runs one member alone as the dynamic grid's batch scheduler — the
+/// paper's "cMA in batch mode for a very short time" — under `stop` (wall
+/// clock, evaluations, or both; `{}` suits only HeuristicMember) at every
+/// activation, with a fresh seed per activation from a fixed base seed.
+/// It returns the member's best and does nothing else.
 class MemberBatchScheduler final : public BatchScheduler {
  public:
-  MemberBatchScheduler(std::unique_ptr<PortfolioMember> member,
-                       double budget_ms);
+  /// Throws std::invalid_argument on a NaN, negative or infinite bound.
+  explicit MemberBatchScheduler(std::unique_ptr<PortfolioMember> member,
+                                StopCondition stop = {});
 
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override;
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return member_->name();
+  }
+  using BatchScheduler::schedule_batch;
+  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc,
+                                        const BatchContext& context) override;
 
  private:
   std::unique_ptr<PortfolioMember> member_;
-  double budget_ms_;
+  StopCondition stop_;
   std::uint64_t activation_ = 0;
 };
 

@@ -46,7 +46,8 @@ PortfolioBatchScheduler::PortfolioBatchScheduler(
   if (members_.empty()) {
     throw std::invalid_argument("Portfolio: need at least one member");
   }
-  set_budget_ms(config_.budget_ms);  // validates it
+  config_.stop.validate("Portfolio");
+  set_budget_ms(config_.stop.max_time_ms);  // validates the deadline
   for (const auto& member : members_) {
     stats_.push_back(MemberStats{std::string(member->name())});
   }
@@ -56,9 +57,10 @@ void PortfolioBatchScheduler::set_budget_ms(double budget_ms) {
   // Negated comparison rejects NaN too; a non-finite budget would reach
   // the cancellation deadline as a meaningless float-to-int cast.
   if (!(budget_ms > 0 && std::isfinite(budget_ms))) {
-    throw std::invalid_argument("Portfolio: budget_ms must be finite and > 0");
+    throw std::invalid_argument(
+        "Portfolio: stop.max_time_ms must be finite and > 0");
   }
-  config_.budget_ms = budget_ms;
+  config_.stop.max_time_ms = budget_ms;
 }
 
 std::vector<std::unique_ptr<PortfolioMember>>
@@ -85,10 +87,6 @@ std::string_view PortfolioBatchScheduler::name() const noexcept {
   return "Portfolio";
 }
 
-Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc) {
-  return schedule_batch(etc, BatchContext::identity(etc, activation_));
-}
-
 Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
                                                  const BatchContext& context) {
   ++activation_;
@@ -103,12 +101,9 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
 
   // --- Race every member under one deadline. ---
   CancellationSource deadline;
-  deadline.set_deadline_in_ms(config_.budget_ms);
-  StopCondition stop = config_.member_stop;
+  deadline.set_deadline_in_ms(config_.stop.max_time_ms);
+  StopCondition stop = config_.stop;
   stop.cancel = deadline.token();
-  stop.max_time_ms = stop.max_time_ms > 0
-                         ? std::min(stop.max_time_ms, config_.budget_ms)
-                         : config_.budget_ms;
   std::uint64_t seed_state =
       config_.seed ^ (activation_ * 0x9e3779b97f4a7c15ULL);
   const std::size_t num_members = members_.size();

@@ -2,11 +2,11 @@
 //
 // At every grid activation the portfolio races a set of member algorithms
 // (constructive heuristics, Struggle GA, async/sync cMA) concurrently on a
-// thread pool, all under one shared wall-clock budget enforced by a
-// cancellation token (common/cancellation.h), and commits the schedule
-// with the best batch fitness. Every member races every activation; the
-// one-pass heuristics among them are the safety net that makes the
-// portfolio never worse than its best constructive member.
+// thread pool, all under one StopCondition whose wall-clock deadline a
+// cancellation token enforces (common/cancellation.h), and commits the
+// schedule with the best batch fitness. Every member races every
+// activation; the one-pass heuristics among them are the safety net that
+// makes the portfolio never worse than its best constructive member.
 // A PopulationCache carries each activation's elite schedules to the next,
 // remapped to the new batch, so the cMA members start from yesterday's
 // answer instead of from scratch.
@@ -28,17 +28,15 @@ class TraceRecorder;
 }  // namespace obs
 
 struct PortfolioConfig {
-  /// Wall-clock budget per activation (all members share the deadline).
-  double budget_ms = 25.0;
+  /// Every member's stop condition; `max_time_ms` is the shared race
+  /// deadline (finite, > 0, re-armed by set_budget_ms). Tests add
+  /// `max_evaluations` for bitwise-deterministic runs. The race sets `cancel`.
+  StopCondition stop{.max_time_ms = 25.0};
   /// Racing pool width; 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Scalarization used to pick the winner; member configs should use the
   /// same weights so cached elites rank consistently.
   FitnessWeights weights{};
-  /// Extra bounds merged into every member's stop condition. Tests set
-  /// `max_evaluations` here (with a generous budget) to make a whole
-  /// portfolio run bitwise deterministic.
-  StopCondition member_stop{};
   std::uint64_t seed = 1;
 };
 
@@ -92,7 +90,7 @@ class PortfolioBatchScheduler final : public BatchScheduler {
 
   [[nodiscard]] std::string_view name() const noexcept override;
 
-  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override;
+  using BatchScheduler::schedule_batch;
   [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc,
                                         const BatchContext& context) override;
 
@@ -118,9 +116,9 @@ class PortfolioBatchScheduler final : public BatchScheduler {
   /// re-queue warm-starts from where the job actually ran.
   [[nodiscard]] PopulationCache& cache() noexcept { return cache_; }
 
-  /// Re-arms the per-activation budget. The sharded service splits its
-  /// total budget over the shards that have work, which varies activation
-  /// to activation.
+  /// Re-arms the race deadline, `config().stop.max_time_ms`. The sharded
+  /// service splits its total budget over the shards that have work,
+  /// which varies activation to activation.
   void set_budget_ms(double budget_ms);
 
   /// Replaces the warm-start cache wholesale. The sharded service uses

@@ -18,9 +18,9 @@ namespace {
 PortfolioConfig shard_portfolio_config(const ServiceConfig& service,
                                        int shard) {
   PortfolioConfig config;
-  config.budget_ms =
+  config.stop = service.member_stop;
+  config.stop.max_time_ms =
       service.total_budget_ms / static_cast<double>(service.num_shards);
-  config.member_stop = service.member_stop;
   std::uint64_t state = service.seed ^ (static_cast<std::uint64_t>(shard) + 1) *
                                            0x9e3779b97f4a7c15ULL;
   config.seed = splitmix64(state);
@@ -73,6 +73,12 @@ GridSchedulingService::GridSchedulingService(ServiceConfig config)
         std::isfinite(config_.total_budget_ms))) {
     throw std::invalid_argument(
         "Service: total_budget_ms must be finite and > 0");
+  }
+  // The shard portfolios validate member_stop's other bounds.
+  if (config_.member_stop.max_time_ms != 0) {
+    throw std::invalid_argument(
+        "Service: member_stop.max_time_ms must be 0; total_budget_ms is "
+        "the wall-clock budget");
   }
   if (!(config_.imbalance_factor == 0 || config_.imbalance_factor >= 1.0)) {
     throw std::invalid_argument(
@@ -386,10 +392,6 @@ void GridSchedulingService::maybe_resize(const EtcMatrix& etc,
     }
     return;
   }
-}
-
-Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc) {
-  return schedule_batch(etc, BatchContext::identity(etc, activation_));
 }
 
 Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,

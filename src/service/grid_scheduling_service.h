@@ -137,8 +137,10 @@ struct ServiceConfig {
   /// outlive the service; the service flushes it at each activation
   /// boundary. See src/obs/trace_recorder.h for the span schema.
   obs::TraceRecorder* trace = nullptr;
-  /// Merged into every shard portfolio's member stop condition (see
-  /// PortfolioConfig::member_stop).
+  /// Every shard portfolio's member stop condition (PortfolioConfig::stop)
+  /// apart from the wall clock, which `total_budget_ms` sets: its
+  /// `max_time_ms` must stay 0. Evaluation-bounded runs set
+  /// `max_evaluations` here.
   StopCondition member_stop{};
   std::uint64_t seed = 1;
 };
@@ -208,7 +210,7 @@ class GridSchedulingService final : public BatchScheduler {
 
   [[nodiscard]] std::string_view name() const noexcept override;
 
-  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override;
+  using BatchScheduler::schedule_batch;
   [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc,
                                         const BatchContext& context) override;
 

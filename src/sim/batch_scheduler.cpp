@@ -15,16 +15,4 @@ BatchContext BatchContext::identity(const EtcMatrix& etc,
   return ctx;
 }
 
-HeuristicBatchScheduler::HeuristicBatchScheduler(HeuristicKind kind,
-                                                 std::uint64_t seed)
-    : kind_(kind), rng_(seed) {}
-
-std::string_view HeuristicBatchScheduler::name() const noexcept {
-  return heuristic_name(kind_);
-}
-
-Schedule HeuristicBatchScheduler::schedule_batch(const EtcMatrix& etc) {
-  return construct_schedule(kind_, etc, rng_);
-}
-
 }  // namespace gridsched

@@ -5,21 +5,19 @@
 // time to schedule jobs arriving to the system since the last activation".
 // GridSimulator hands each activation's pending jobs to a BatchScheduler as
 // a fresh ETC sub-problem whose ready times encode the machines' current
-// backlogs. HeuristicBatchScheduler below wraps a constructive heuristic;
-// MemberBatchScheduler (portfolio/member.h) runs any portfolio member, the
-// cMA included, and PortfolioBatchScheduler (portfolio/portfolio.h) races
-// several of them.
+// backlogs, with the batch's identity in the grid. Every scheduler
+// implements one virtual, schedule_batch(etc, context): MemberBatchScheduler
+// (portfolio/member.h) runs one member (a heuristic, the cMA, the Struggle
+// GA) under one StopCondition, PortfolioBatchScheduler races several, and
+// GridSchedulingService (service/) shards the grid over portfolios.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/schedule.h"
 #include "etc/etc_matrix.h"
-#include "heuristics/constructive.h"
 
 namespace gridsched {
 
@@ -76,29 +74,18 @@ class BatchScheduler {
 
   /// Maps every job of `etc` (a batch of pending jobs x available machines,
   /// ready times already set) to a machine. Must return a complete schedule.
-  [[nodiscard]] virtual Schedule schedule_batch(const EtcMatrix& etc) = 0;
+  /// `context` names the batch's rows and columns in the grid (the
+  /// simulator fills it); stateless schedulers ignore it.
+  [[nodiscard]] virtual Schedule schedule_batch(
+      const EtcMatrix& etc, const BatchContext& context) = 0;
 
-  /// Context-aware variant the simulator calls; the default forwards to the
-  /// context-free overload, so plain schedulers need not care.
-  [[nodiscard]] virtual Schedule schedule_batch(const EtcMatrix& etc,
-                                                const BatchContext& context) {
-    (void)context;
-    return schedule_batch(etc);
+  /// A standalone batch: forwards BatchContext::identity(etc), so its
+  /// activation label is 0. Derived classes re-expose it with
+  /// `using BatchScheduler::schedule_batch;`; it stays virtual only so a
+  /// forwarding decorator can pass each overload to its twin.
+  [[nodiscard]] virtual Schedule schedule_batch(const EtcMatrix& etc) {
+    return schedule_batch(etc, BatchContext::identity(etc));
   }
-};
-
-/// Wraps a constructive heuristic (MCT, Min-Min, ...).
-class HeuristicBatchScheduler final : public BatchScheduler {
- public:
-  explicit HeuristicBatchScheduler(HeuristicKind kind,
-                                   std::uint64_t seed = 1);
-
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override;
-
- private:
-  HeuristicKind kind_;
-  Rng rng_;
 };
 
 }  // namespace gridsched

@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "cma/cma.h"
+#include "cma/sync_cma.h"
+#include "ga/braun_ga.h"
+#include "ga/steady_state_ga.h"
 
 namespace gridsched {
 namespace {
@@ -19,6 +26,60 @@ TEST(StopCondition, AnyEnabledDetectsEachBound) {
   EXPECT_TRUE(StopCondition{.max_evaluations = 1}.any_enabled());
   EXPECT_TRUE(StopCondition{.max_iterations = 1}.any_enabled());
   EXPECT_TRUE(StopCondition{.max_stagnation = 1}.any_enabled());
+}
+
+TEST(StopCondition, ValidateNamesTheBadField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto message = [](const StopCondition& stop) -> std::string {
+    try {
+      stop.validate("Owner");
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "";
+  };
+  for (const double bad : {nan, inf, -inf, -5.0}) {
+    EXPECT_NE(message(StopCondition{.max_time_ms = bad})
+                  .find("Owner: stop.max_time_ms"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_NE(message(StopCondition{.max_evaluations = -1})
+                .find("stop.max_evaluations"),
+            std::string::npos);
+  EXPECT_NE(message(StopCondition{.max_iterations = -1})
+                .find("stop.max_iterations"),
+            std::string::npos);
+  EXPECT_NE(message(StopCondition{.max_stagnation = -1})
+                .find("stop.max_stagnation"),
+            std::string::npos);
+  // Disabled (0) and finite bounds pass; only require_bound insists on one.
+  EXPECT_EQ(message(StopCondition{}), "");
+  EXPECT_EQ(message(StopCondition{.max_time_ms = 25.0}), "");
+  EXPECT_THROW(StopCondition{}.require_bound("Owner"), std::invalid_argument);
+  EXPECT_NO_THROW(StopCondition{.max_evaluations = 1}.require_bound("Owner"));
+}
+
+TEST(StopCondition, EnginesRejectNonFiniteOrNegativeBounds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const StopCondition& bad :
+       {StopCondition{.max_time_ms = nan}, StopCondition{.max_time_ms = inf},
+        StopCondition{.max_time_ms = -5.0},
+        StopCondition{.max_time_ms = 0.0},
+        StopCondition{.max_evaluations = -1}}) {
+    CmaConfig cma;
+    cma.stop = bad;
+    EXPECT_THROW(CellularMemeticAlgorithm{cma}, std::invalid_argument);
+    EXPECT_THROW((SynchronousCellularMa{cma, 0}), std::invalid_argument);
+    SteadyStateGaConfig ga;
+    ga.stop = bad;
+    EXPECT_THROW(SteadyStateGa{ga}, std::invalid_argument);
+    BraunGaConfig braun;
+    braun.stop = bad;
+    EXPECT_THROW(BraunGa{braun}, std::invalid_argument);
+  }
 }
 
 TEST(EvolutionTracker, OfferTracksTheBest) {

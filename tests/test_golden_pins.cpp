@@ -28,7 +28,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <memory>
 
 #include "cma/cma.h"
 #include "cma/sync_cma.h"
@@ -39,6 +41,7 @@
 #include "portfolio/portfolio.h"
 #include "qos/qos.h"
 #include "service/grid_scheduling_service.h"
+#include "sim/grid_simulator.h"
 
 namespace gridsched {
 namespace {
@@ -199,9 +202,9 @@ TEST(GoldenPins, PortfolioWarmStartedActivations) {
   spec.seed = 21;
   const EtcMatrix etc = generate_instance(spec);
   PortfolioConfig config;
-  config.budget_ms = 60'000.0;  // backstop; the evaluation bound decides
+  // The wall clock is a backstop; the evaluation bound decides.
+  config.stop = StopCondition{.max_time_ms = 60'000.0, .max_evaluations = 400};
   config.threads = 2;
-  config.member_stop = StopCondition{.max_evaluations = 400};
   config.seed = 5;
   PortfolioBatchScheduler portfolio(
       config, PortfolioBatchScheduler::default_members(config));
@@ -268,6 +271,69 @@ TEST(GoldenPins, ShardedServiceDeadlineAwareAdmission) {
             9517768817183253271ULL);
   EXPECT_EQ(service.admission_stats().rejected(), 11);
   EXPECT_EQ(service.admission_stats().degraded, 11);
+}
+
+/// FNV-1a over every field of every job record (times by their bits): a
+/// fingerprint of a whole simulated run's placements and timings.
+std::uint64_t records_hash(const std::vector<SimJobRecord>& records) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    h ^= word;
+    h *= 1099511628211ULL;
+  };
+  for (const SimJobRecord& r : records) {
+    mix(static_cast<std::uint64_t>(r.id));
+    mix(std::bit_cast<std::uint64_t>(r.arrival));
+    mix(std::bit_cast<std::uint64_t>(r.start));
+    mix(std::bit_cast<std::uint64_t>(r.finish));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(r.machine)));
+    mix(static_cast<std::uint64_t>(r.attempts));
+    mix(r.rejected ? 1 : 0);
+  }
+  return h;
+}
+
+/// A short inconsistent 6-machine grid; `churn` adds failures and repairs
+/// so re-queued jobs reach the scheduler a second time.
+SimConfig heuristic_row_sim(bool churn) {
+  SimConfig config;
+  config.horizon = 400.0;
+  config.arrival_rate = 0.5;
+  config.scheduler_period = 40.0;
+  config.num_machines = 6;
+  config.consistency_noise = 0.6;
+  config.seed = 42;
+  if (churn) {
+    config.machine_mtbf = 120.0;
+    config.machine_mttr = 30.0;
+    config.seed = 7;
+  }
+  return config;
+}
+
+std::uint64_t heuristic_row_hash(HeuristicKind kind, bool churn) {
+  GridSimulator sim(heuristic_row_sim(churn));
+  MemberBatchScheduler scheduler(std::make_unique<HeuristicMember>(kind));
+  const SimMetrics metrics = sim.run(scheduler);
+  EXPECT_EQ(metrics.jobs_requeued > 0, churn);
+  return records_hash(sim.job_records());
+}
+
+// The dynamic-grid heuristic rows: each heuristic member as the
+// simulator's batch scheduler, with no floor or shortcut of its own.
+TEST(GoldenPins, HeuristicRowMct) {
+  EXPECT_EQ(heuristic_row_hash(HeuristicKind::kMct, false),
+            9705511445704914058ULL);
+}
+
+TEST(GoldenPins, HeuristicRowMinMinWithChurn) {
+  EXPECT_EQ(heuristic_row_hash(HeuristicKind::kMinMin, true),
+            8300844186531470265ULL);
+}
+
+TEST(GoldenPins, HeuristicRowOlb) {
+  EXPECT_EQ(heuristic_row_hash(HeuristicKind::kOlb, false),
+            2574435265472261221ULL);
 }
 
 }  // namespace

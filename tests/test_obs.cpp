@@ -581,8 +581,8 @@ TEST(ServiceObservability, RecordsAreDeterministicAcrossRuns) {
   const EtcMatrix etc = obs_instance(30, 8);
   const auto run = [&etc] {
     GridSchedulingService service(traced_config(4));
-    (void)service.schedule_batch(etc);
-    (void)service.schedule_batch(etc);
+    (void)service.schedule_batch(etc, BatchContext::identity(etc, 1));
+    (void)service.schedule_batch(etc, BatchContext::identity(etc, 2));
     return records_without_timing(service);
   };
   const std::string first = run();

@@ -26,9 +26,8 @@ EtcMatrix small_instance(int jobs = 48, int machines = 8,
 /// A deterministic portfolio: generous wall budget, hard evaluation bound.
 PortfolioConfig deterministic_config() {
   PortfolioConfig config;
-  config.budget_ms = 60'000.0;
+  config.stop = StopCondition{.max_time_ms = 60'000.0, .max_evaluations = 200};
   config.threads = 2;
-  config.member_stop = StopCondition{.max_evaluations = 200};
   config.seed = 11;
   return config;
 }
@@ -321,7 +320,7 @@ TEST(Portfolio, DeterministicUnderFixedSeed) {
 TEST(Portfolio, NeverLosesToItsConstructiveMembers) {
   const EtcMatrix etc = small_instance(64, 8);
   PortfolioConfig config = deterministic_config();
-  config.member_stop = StopCondition{.max_evaluations = 60};  // starved
+  config.stop.max_evaluations = 60;  // starved
   PortfolioBatchScheduler portfolio(
       config, PortfolioBatchScheduler::default_members(config));
   const Schedule plan = portfolio.schedule_batch(etc);
@@ -336,8 +335,8 @@ TEST(Portfolio, NeverLosesToItsConstructiveMembers) {
 TEST(Portfolio, MembersRespectTheActivationBudget) {
   const EtcMatrix etc = small_instance(96, 12);
   PortfolioConfig config;
-  config.budget_ms = 50.0;
-  config.threads = 2;  // no member_stop: only the deadline bounds them
+  config.stop = StopCondition{.max_time_ms = 50.0};  // the deadline alone
+  config.threads = 2;
   PortfolioBatchScheduler portfolio(
       config, PortfolioBatchScheduler::default_members(config));
   const Schedule plan = portfolio.schedule_batch(etc);
@@ -349,7 +348,7 @@ TEST(Portfolio, MembersRespectTheActivationBudget) {
   const double tolerance_ms = 2'000.0;
   for (const MemberStats& stat : portfolio.member_stats()) {
     if (stat.runs == 0) continue;
-    EXPECT_LE(stat.total_ms, config.budget_ms + tolerance_ms)
+    EXPECT_LE(stat.total_ms, config.stop.max_time_ms + tolerance_ms)
         << stat.name << " overshot the activation budget";
   }
 }
@@ -439,7 +438,7 @@ TEST(Portfolio, SetBudgetRearmsTheDeadline) {
   PortfolioBatchScheduler portfolio(
       config, PortfolioBatchScheduler::default_members(config));
   portfolio.set_budget_ms(123.0);
-  EXPECT_DOUBLE_EQ(portfolio.config().budget_ms, 123.0);
+  EXPECT_DOUBLE_EQ(portfolio.config().stop.max_time_ms, 123.0);
   EXPECT_THROW(portfolio.set_budget_ms(0.0), std::invalid_argument);
 }
 
@@ -459,13 +458,18 @@ TEST(Portfolio, RejectsBadConfigs) {
        {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity(),
         -std::numeric_limits<double>::infinity()}) {
-    config.budget_ms = budget_ms;
+    config.stop.max_time_ms = budget_ms;
     EXPECT_THROW(PortfolioBatchScheduler(
                      config, PortfolioBatchScheduler::default_members(config)),
                  std::invalid_argument)
         << budget_ms;
   }
-  config.budget_ms = 25.0;
+  config.stop.max_time_ms = 25.0;
+  config.stop.max_evaluations = -1;
+  EXPECT_THROW(PortfolioBatchScheduler(
+                   config, PortfolioBatchScheduler::default_members(config)),
+               std::invalid_argument);
+  config.stop.max_evaluations = 0;
   PortfolioBatchScheduler portfolio(
       config, PortfolioBatchScheduler::default_members(config));
   EXPECT_THROW(portfolio.set_budget_ms(std::numeric_limits<double>::quiet_NaN()),
@@ -487,7 +491,7 @@ TEST(Portfolio, RunsTheDynamicGridEndToEnd) {
   GridSimulator sim(sim_config);
 
   PortfolioConfig config = deterministic_config();
-  config.member_stop = StopCondition{.max_evaluations = 120};
+  config.stop.max_evaluations = 120;
   PortfolioBatchScheduler portfolio(
       config, PortfolioBatchScheduler::default_members(config));
   const SimMetrics metrics = sim.run(portfolio);

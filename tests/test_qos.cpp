@@ -450,9 +450,8 @@ TEST(Portfolio, AllInfiniteDeadlinesFallBackToTheScalarWinner) {
   // bitwise identical to the no-QoS run.
   const EtcMatrix etc = small_instance(24, 6);
   PortfolioConfig config;
-  config.budget_ms = 60'000.0;
+  config.stop = StopCondition{.max_time_ms = 60'000.0, .max_evaluations = 150};
   config.threads = 2;
-  config.member_stop = StopCondition{.max_evaluations = 150};
   config.seed = 11;
 
   PortfolioBatchScheduler plain(config,
@@ -476,9 +475,8 @@ TEST(Portfolio, AllInfiniteDeadlinesFallBackToTheScalarWinner) {
 TEST(Portfolio, FiniteDeadlinesSwitchOnParetoSelection) {
   const EtcMatrix etc = small_instance(24, 6);
   PortfolioConfig config;
-  config.budget_ms = 60'000.0;
+  config.stop = StopCondition{.max_time_ms = 60'000.0, .max_evaluations = 150};
   config.threads = 2;
-  config.member_stop = StopCondition{.max_evaluations = 150};
   config.seed = 11;
   BatchContext context = BatchContext::identity(etc);
   context.job_deadlines.assign(static_cast<std::size_t>(etc.num_jobs()),

@@ -374,6 +374,17 @@ TEST(Service, RejectsBadConfigs) {
     EXPECT_THROW(GridSchedulingService{config}, std::invalid_argument)
         << factor;
   }
+  // total_budget_ms is the only wall clock; member_stop's other bounds
+  // must be finite and >= 0.
+  for (const StopCondition& member_stop :
+       {StopCondition{.max_time_ms = 5.0},
+        StopCondition{.max_time_ms = std::numeric_limits<double>::quiet_NaN()},
+        StopCondition{.max_evaluations = -1}}) {
+    config = deterministic_config(2);
+    config.member_stop = member_stop;
+    EXPECT_THROW(GridSchedulingService{config}, std::invalid_argument)
+        << member_stop.max_time_ms << ' ' << member_stop.max_evaluations;
+  }
 }
 
 TEST(Service, SchedulesEveryJobOntoItsOwnShard) {

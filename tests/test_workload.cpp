@@ -6,11 +6,13 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "portfolio/member.h"
 #include "sim/grid_simulator.h"
 #include "workload/swf_io.h"
 #include "workload/trace_io.h"
@@ -634,7 +636,8 @@ TEST(DeterministicReplay, RecordedPoissonRunReplaysBitForBit) {
   // identical per-job records and metrics.
   const SimConfig config = replay_sim();
   GridSimulator recorded(config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics original = recorded.run(sched_a);
   ASSERT_GT(original.jobs_arrived, 0);
   ASSERT_GT(original.jobs_requeued, 0) << "churn never fired; weak test";
@@ -647,7 +650,8 @@ TEST(DeterministicReplay, RecordedPoissonRunReplaysBitForBit) {
   replay_config.workload =
       std::make_shared<TraceWorkloadSource>(read_trace(in));
   GridSimulator replayed(replay_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics replay = replayed.run(sched_b);
 
   expect_identical_runs(original, replay, recorded, replayed);
@@ -728,7 +732,8 @@ TEST(DeterministicReplay, ClassMixRoundTripsThroughTheTraceClassColumn) {
           LogNormalSize{config.workload_log_mean, config.workload_log_sigma}),
       std::vector<double>{0.6, 0.3, 0.1});
   GridSimulator recorded(config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics original = recorded.run(sched_a);
   ASSERT_GT(original.jobs_arrived, 0);
 
@@ -740,7 +745,8 @@ TEST(DeterministicReplay, ClassMixRoundTripsThroughTheTraceClassColumn) {
   replay_config.workload =
       std::make_shared<TraceWorkloadSource>(read_trace(in));
   GridSimulator replayed(replay_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics replay = replayed.run(sched_b);
 
   expect_identical_runs(original, replay, recorded, replayed);
@@ -758,7 +764,8 @@ TEST(DeterministicReplay, ExplicitPoissonSourceMatchesTheLegacyDefault) {
   // PoissonWorkload must be the same simulation.
   const SimConfig config = replay_sim();
   GridSimulator legacy(config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMct);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   const SimMetrics a = legacy.run(sched_a);
 
   SimConfig explicit_config = config;
@@ -766,7 +773,8 @@ TEST(DeterministicReplay, ExplicitPoissonSourceMatchesTheLegacyDefault) {
       config.arrival_rate,
       LogNormalSize{config.workload_log_mean, config.workload_log_sigma});
   GridSimulator with_source(explicit_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMct);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   const SimMetrics b = with_source.run(sched_b);
 
   expect_identical_runs(a, b, legacy, with_source);
@@ -777,7 +785,8 @@ TEST(GridSimulator, ArrivalTraceRecordsEffectiveClasses) {
   config.machine_mtbf = 0.0;
   config.machine_mttr = 0.0;
   GridSimulator sim(config);
-  HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
+  MemberBatchScheduler scheduler(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   (void)sim.run(scheduler);
   ASSERT_FALSE(sim.arrival_trace().empty());
   for (const TraceJob& job : sim.arrival_trace()) {
@@ -795,7 +804,8 @@ TEST(GridSimulator, TraceSuppliedClassesWinOverTheHash) {
   config.workload = std::make_shared<TraceWorkloadSource>(std::vector<TraceJob>{
       {1.0, 500.0, 1}, {2.0, 600.0, -1}, {3.0, 700.0, 5}});
   GridSimulator sim(config);
-  HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
+  MemberBatchScheduler scheduler(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   (void)sim.run(scheduler);
   const auto& trace = sim.arrival_trace();
   ASSERT_EQ(trace.size(), 3u);
@@ -814,7 +824,8 @@ TEST(GridSimulator, EmptyTraceRunsToCompletionWithZeroJobs) {
   config.workload =
       std::make_shared<TraceWorkloadSource>(std::vector<TraceJob>{});
   GridSimulator sim(config);
-  HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
+  MemberBatchScheduler scheduler(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   const SimMetrics metrics = sim.run(scheduler);
   EXPECT_EQ(metrics.jobs_arrived, 0);
   EXPECT_EQ(metrics.jobs_completed, 0);
@@ -853,7 +864,8 @@ TEST(GridSimulator, RejectsAnInvalidSourceStream) {
   for (const auto& jobs : broken) {
     config.workload = std::make_shared<BrokenSource>(jobs);
     GridSimulator sim(config);
-    HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
+    MemberBatchScheduler scheduler(
+        std::make_unique<HeuristicMember>(HeuristicKind::kMct));
     EXPECT_THROW((void)sim.run(scheduler), std::runtime_error)
         << "arrival " << jobs.back().arrival;
   }
@@ -896,14 +908,16 @@ TEST(HorizonBoundary, ArrivalWindowIsHalfOpenEverywhere) {
   config.num_machines = 2;
   config.workload = std::make_shared<TraceWorkloadSource>(jobs);
   GridSimulator materialized(config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMct);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   EXPECT_EQ(materialized.run(sched_a).jobs_arrived, 1);
 
   SimConfig stream_config = config;
   stream_config.workload.reset();
   stream_config.stream = std::make_shared<MaterializedStream>(jobs);
   GridSimulator streamed(stream_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMct);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   EXPECT_EQ(streamed.run(sched_b).jobs_arrived, 1);
 }
 
@@ -916,7 +930,8 @@ TEST(ChurnReplay, RecordedChurnRoundTripsThroughTheSidecar) {
   // churn sequence.
   const SimConfig config = replay_sim();
   GridSimulator recorded(config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics original = recorded.run(sched_a);
   ASSERT_GT(original.jobs_requeued, 0) << "churn never fired; weak test";
   ASSERT_FALSE(recorded.churn_trace().empty());
@@ -936,7 +951,8 @@ TEST(ChurnReplay, RecordedChurnRoundTripsThroughTheSidecar) {
   replay_config.churn_replay = std::make_shared<const std::vector<ChurnEvent>>(
       read_churn_trace(churn_in));
   GridSimulator replayed(replay_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics replay = replayed.run(sched_b);
 
   expect_identical_runs(original, replay, recorded, replayed);
@@ -951,7 +967,8 @@ TEST(ChurnReplay, ReplayedFailuresAreSchedulerIndependent) {
   // run drains before the last recorded window).
   const SimConfig config = replay_sim();
   GridSimulator recorded(config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   (void)recorded.run(sched_a);
   const std::vector<ChurnEvent> events = recorded.churn_trace();
   ASSERT_FALSE(events.empty());
@@ -964,7 +981,8 @@ TEST(ChurnReplay, ReplayedFailuresAreSchedulerIndependent) {
   replay_config.churn_replay =
       std::make_shared<const std::vector<ChurnEvent>>(events);
   GridSimulator replayed(replay_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMct);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   const SimMetrics metrics = replayed.run(sched_b);
   EXPECT_GT(metrics.jobs_requeued, 0);
   const std::vector<ChurnEvent>& applied = replayed.churn_trace();
@@ -986,7 +1004,8 @@ TEST(ChurnReplay, RejectsInvalidEventSequences) {
     bad.churn_replay = std::make_shared<const std::vector<ChurnEvent>>(
         std::move(events));
     GridSimulator sim(bad);
-    HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
+    MemberBatchScheduler scheduler(
+        std::make_unique<HeuristicMember>(HeuristicKind::kMct));
     return sim.run(scheduler);
   };
   // Unknown machine (grid has 6).
@@ -1058,7 +1077,8 @@ TEST(StreamingSim, MatchesTheMaterializedRunBitForBit) {
   SimConfig materialized_config = config;
   materialized_config.workload = std::make_shared<TraceWorkloadSource>(jobs);
   GridSimulator materialized(materialized_config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics metrics_a = materialized.run(sched_a);
   ASSERT_GT(metrics_a.jobs_requeued, 0) << "churn never fired; weak test";
   ASSERT_GT(metrics_a.deadline_jobs, 0);
@@ -1074,7 +1094,8 @@ TEST(StreamingSim, MatchesTheMaterializedRunBitForBit) {
         observed_records.push_back(record);
         observed_jobs.push_back(job);
       });
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics metrics_b = streamed.run(sched_b);
 
   expect_identical_metrics(metrics_a, metrics_b);
@@ -1109,7 +1130,8 @@ TEST(StreamingSim, PoissonAdapterMatchesTheLegacyDefault) {
   // SimConfig — the adapter path costs nothing in fidelity.
   const SimConfig config = replay_sim();
   GridSimulator legacy(config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMct);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   const SimMetrics a = legacy.run(sched_a);
 
   SimConfig streaming_config = config;
@@ -1122,7 +1144,8 @@ TEST(StreamingSim, PoissonAdapterMatchesTheLegacyDefault) {
   streaming_config.stream = std::make_shared<MaterializedStream>(
       poisson, config.horizon, arrival_rng, workload_rng);
   GridSimulator streamed(streaming_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMct);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   const SimMetrics b = streamed.run(sched_b);
   expect_identical_metrics(a, b);
   EXPECT_EQ(streamed.churn_trace(), legacy.churn_trace());
@@ -1157,7 +1180,8 @@ TEST(StreamingSim, RejectsAnInvalidStream) {
   config.num_machines = 2;
   config.stream = std::make_shared<BrokenStream>();
   GridSimulator sim(config);
-  HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
+  MemberBatchScheduler scheduler(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMct));
   try {
     (void)sim.run(scheduler);
     FAIL() << "expected std::runtime_error";
@@ -1204,14 +1228,16 @@ TEST(StreamingSim, DeclaredButUnsetQosColumnsAreInert) {
   SimConfig plain_config = config;
   plain_config.stream = std::make_shared<MaterializedStream>(jobs);
   GridSimulator plain(plain_config);
-  HeuristicBatchScheduler sched_a(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_a(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics a = plain.run(sched_a);
 
   SimConfig declared_config = config;
   declared_config.stream = std::make_shared<DeclaredQosStream>(
       jobs, StreamQos{true, true});
   GridSimulator declared(declared_config);
-  HeuristicBatchScheduler sched_b(HeuristicKind::kMinMin);
+  MemberBatchScheduler sched_b(
+      std::make_unique<HeuristicMember>(HeuristicKind::kMinMin));
   const SimMetrics b = declared.run(sched_b);
 
   expect_identical_metrics(a, b);
