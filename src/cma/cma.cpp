@@ -40,6 +40,11 @@ std::vector<Individual> CellularMemeticAlgorithm::initialize_population(
   }
 
   // Cell 0 keeps the constructive seed; warm elites fill the next cells.
+  // Each is evaluated, counted and offered as placed, so a cancelled init
+  // still returns the warm best, and counted again after its local search
+  // below: up to 8 extra counts per warm race (the portfolio keeps 8
+  // elites). Dropping the second count moves the schedules of
+  // evaluation-bounded service races (docs/performance.md), so it stays.
   std::size_t warm_end = 1;
   for (const Schedule& schedule : warm) {
     if (warm_end >= population.size()) break;

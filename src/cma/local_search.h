@@ -24,12 +24,13 @@
 // config options and compared in bench/ablation_local_search.
 //
 // Every scan but kSampled runs ScheduleEvaluator::best_swap once per
-// focus job — O(m + sum_b k_b + (n - k_c) k_c) for k_c jobs on the focus
-// job's machine, where previewing pair by pair paid n - k_c swap previews
-// of two rank counts each — with the best score so far as the strict
-// bound. It picks the pair, and the bitwise score, of a job-id-ordered
-// preview_swap scan keeping the first strict improvement
-// (tests/test_local_search.cpp holds it to that oracle).
+// focus job — O(n + m log k) plus O(1) per partner, the partners' ranks on
+// the focus job's machine coming from one walk of its ETC column, where
+// previewing pair by pair paid n - k_c swap previews of two rank counts
+// each — with the best score so far as the strict bound. It picks the
+// pair, and the bitwise score, of a job-id-ordered preview_swap scan
+// keeping the first strict improvement (tests/test_local_search.cpp holds
+// it to that oracle).
 #pragma once
 
 #include <string_view>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace gridsched {
@@ -9,9 +10,10 @@ namespace {
 
 /// Branchless lower bound over a sorted (etc, job) list: same result as
 /// std::lower_bound, but the halving step compiles to a conditional move
-/// instead of a data-dependent branch. Previews sit on this search four
-/// times per call, and the lists are short (tens of entries) — exactly the
-/// regime where branch mispredicts dominate a classic binary search.
+/// instead of a data-dependent branch. List surgery and best_swap's
+/// per-machine rank of the focus job sit on this search, and the lists
+/// are short (tens of entries) — exactly the regime where branch
+/// mispredicts dominate a classic binary search.
 inline std::size_t sorted_pos(const std::vector<std::pair<double, JobId>>& v,
                               const std::pair<double, JobId>& key) noexcept {
   const std::pair<double, JobId>* base = v.data();
@@ -25,6 +27,15 @@ inline std::size_t sorted_pos(const std::vector<std::pair<double, JobId>>& v,
          ((n == 1 && *base < key) ? 1 : 0);
 }
 
+/// Job ids by (ETC on one machine, id): the order that machine's job list
+/// keeps.
+inline auto column_before(std::span<const double> column) noexcept {
+  return [column](JobId x, JobId y) {
+    return std::pair(column[static_cast<std::size_t>(x)], x) <
+           std::pair(column[static_cast<std::size_t>(y)], y);
+  };
+}
+
 }  // namespace
 
 ScheduleEvaluator::ScheduleEvaluator(const EtcMatrix& etc) : etc_(&etc) {
@@ -32,6 +43,8 @@ ScheduleEvaluator::ScheduleEvaluator(const EtcMatrix& etc) : etc_(&etc) {
   dirty_flag_.assign(static_cast<std::size_t>(etc.num_machines()), 0);
   dirty_list_.reserve(8);
   job_pos_.assign(static_cast<std::size_t>(etc.num_jobs()), 0);
+  column_order_.resize(static_cast<std::size_t>(etc.num_machines()));
+  ranks_.resize(static_cast<std::size_t>(etc.num_jobs()));
   rebuild_caches();
 }
 
@@ -390,16 +403,37 @@ PreviewResult ScheduleEvaluator::preview_swap(JobId a, JobId b) const {
   return {Objectives{std::max(0.0, new_makespan), new_flowtime}};
 }
 
+std::span<const std::uint32_t> ScheduleEvaluator::insertion_ranks(
+    MachineId m) {
+  auto& order = column_order_[static_cast<std::size_t>(m)];
+  if (order.size() != ranks_.size()) {
+    order.resize(ranks_.size());
+    std::iota(order.begin(), order.end(), JobId{0});
+    std::sort(order.begin(), order.end(), column_before(etc_->machine_row(m)));
+  }
+  // A job's rank is the count of m's jobs strictly before it in (ETC, id)
+  // order: insertion_rank's strict-less count plus its id-ordered ties.
+  const auto genes = schedule_.genes();
+  std::uint32_t passed = 0;
+  for (const JobId j : order) {
+    ranks_[static_cast<std::size_t>(j)] = passed;
+    passed += genes[static_cast<std::size_t>(j)] == m ? 1u : 0u;
+  }
+  return ranks_;
+}
+
 ScheduleEvaluator::SwapPick ScheduleEvaluator::best_swap(
     JobId a, JobId first_partner, double bound, LsObjective objective,
-    const FitnessWeights& weights) const {
+    const FitnessWeights& weights) {
   const MachineId ma = schedule_[a];
   const MachineState& state_a = machines_[static_cast<std::size_t>(ma)];
   const double ready_a = etc_->ready_time(ma);
-  // Once per focus job: a leaves its machine.
+  // Once per focus job: a leaves its machine, and every partner's rank on
+  // it.
   const Removal without_a = removal(
       state_a, ready_a,
       static_cast<std::size_t>(job_pos_[static_cast<std::size_t>(a)]));
+  const auto rank_on_a = insertion_ranks(ma);
   const auto etc_on_a = etc_->machine_row(ma);
   const int m = num_machines();
 
@@ -411,7 +445,7 @@ ScheduleEvaluator::SwapPick ScheduleEvaluator::best_swap(
     // the two machines.
     const double ready_b = etc_->ready_time(mb);
     const double a_on_b = (*etc_)(a, mb);
-    const std::size_t a_rank = insertion_rank(state_b, a_on_b, a);
+    const std::size_t a_rank = sorted_pos(state_b.jobs, {a_on_b, a});
     const double rest = rest_completion(ma, mb);
     for (std::size_t p = 0; p < state_b.jobs.size(); ++p) {
       const JobId b = state_b.jobs[p].second;
@@ -421,7 +455,7 @@ ScheduleEvaluator::SwapPick ScheduleEvaluator::best_swap(
       const double b_on_a = etc_on_a[static_cast<std::size_t>(b)];
       const auto [flow_a, completion_a] =
           insertion(state_a, ready_a, without_a,
-                    insertion_rank(state_a, b_on_a, b), b_on_a);
+                    rank_on_a[static_cast<std::size_t>(b)], b_on_a);
       const auto [flow_b, completion_b] =
           insertion(state_b, ready_b, removal(state_b, ready_b, p), a_rank,
                     a_on_b);
@@ -524,6 +558,15 @@ void ScheduleEvaluator::check_consistency() const {
     if (std::abs(a.completion - b.completion) > tol ||
         std::abs(a.flow - b.flow) > 1e-6 * std::max(1.0, std::abs(b.flow))) {
       throw std::logic_error("evaluator drift: cached sums differ");
+    }
+  }
+  // Column orders already built must still sort the bound matrix: a
+  // matrix edited after the evaluator bound to it shows up here.
+  for (MachineId m = 0; m < num_machines(); ++m) {
+    const auto& order = column_order_[static_cast<std::size_t>(m)];
+    if (!std::is_sorted(order.begin(), order.end(),
+                        column_before(etc_->machine_row(m)))) {
+      throw std::logic_error("evaluator drift: column order unsorted");
     }
   }
   // Aggregate caches: the running flow total tracks the per-machine sum,

@@ -12,9 +12,11 @@
 //     makespan is the maximum of the two new completion times and the
 //     first top-3 cache entry not owned by an affected machine,
 //   - scanning every swap partner of one job (`best_swap`, the LMCTS
-//     kernel) costs one pass over the other machines' lists: the job's
-//     removal is shared by all partners, its insertion rank and the
-//     rest-of-fleet makespan by all partners on one machine,
+//     kernel) costs O(n + m log k) plus O(1) per partner: the job's removal
+//     is shared by all partners, its insertion rank and the rest-of-fleet
+//     makespan by all partners on one machine, and every partner's
+//     insertion rank on the job's machine comes from one walk of that
+//     machine's ETC column in (ETC, id) order (`insertion_ranks`),
 //   - applying one costs O(k) for the two affected machines (sorted-list
 //     surgery plus a prefix-sum rebuild) and adopts the exact closed-form
 //     scalars the preview computed, so a preview is bitwise equal to
@@ -43,6 +45,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,7 +66,9 @@ struct PreviewResult {
 
 class ScheduleEvaluator {
  public:
-  /// Binds to an ETC matrix; the matrix must outlive the evaluator.
+  /// Binds to an ETC matrix; the matrix must outlive the evaluator and must
+  /// not change while it is bound (the per-machine column orders behind
+  /// insertion_ranks are built from it once).
   explicit ScheduleEvaluator(const EtcMatrix& etc);
 
   /// Loads a complete schedule and (re)builds all machine state from
@@ -134,12 +139,21 @@ class ScheduleEvaluator {
   /// pair a job-id-ordered scan of preview_swap(a, b) keeping the first
   /// strict improvement picks. Each partner's objectives are bitwise those
   /// of preview_swap(a, b): both run the same closed forms, but here a's
-  /// removal is computed once per call and a's insertion rank and the
-  /// rest-of-fleet makespan once per destination machine, leaving one
-  /// rank count over a's machine per partner.
+  /// removal and every partner's insertion rank on a's machine (one
+  /// insertion_ranks walk) are computed once per call, and a's insertion
+  /// rank and the rest-of-fleet makespan once per destination machine,
+  /// leaving O(1) per partner. Non-const only for the rank scratch.
   [[nodiscard]] SwapPick best_swap(JobId a, JobId first_partner, double bound,
                                    LsObjective objective,
-                                   const FitnessWeights& weights) const;
+                                   const FitnessWeights& weights);
+
+  /// For every job j, the rank its (ETC[j][m], j) entry takes in machine
+  /// m's sorted list: the number of m's jobs ordered before it, which for
+  /// a job already on m is its own position. One O(n) walk of m's ETC
+  /// column in (ETC, id) order, counting m's jobs as it passes them; the
+  /// order is sorted once per machine, on the first call. The span is
+  /// valid until the next call or edit.
+  [[nodiscard]] std::span<const std::uint32_t> insertion_ranks(MachineId m);
 
   /// Moves job to machine `to`. Adopts the closed-form scalars a preview
   /// of the same edit computes, so preview_move(job, to) followed by
@@ -268,6 +282,13 @@ class ScheduleEvaluator {
   // surgery (stale for jobs mid-flight between erase and insert, which
   // previews never observe).
   std::vector<int> job_pos_;
+
+  // column_order_[m]: every job id in ascending (ETC[j][m], j) order, the
+  // order m's job list keeps; empty until insertion_ranks(m) first runs.
+  // Kept here rather than in EtcMatrix, whose set() mutates built matrices
+  // and which race threads share read-only.
+  std::vector<std::vector<JobId>> column_order_;
+  std::vector<std::uint32_t> ranks_;  // insertion_ranks' output
 };
 
 }  // namespace gridsched

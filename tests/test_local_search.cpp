@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -399,7 +400,7 @@ ScheduleEvaluator::SwapPick oracle_best_swap(const ScheduleEvaluator& eval,
 /// ties decide) and the unbounded optimum itself (strictness: nothing may
 /// qualify) — and, unbounded, at every partner-range start, so the pick
 /// walks through each suffix minimum of the partners in id order.
-void expect_kernel_matches_oracle(const ScheduleEvaluator& eval,
+void expect_kernel_matches_oracle(ScheduleEvaluator& eval,
                                   const std::string& label) {
   const double inf = std::numeric_limits<double>::infinity();
   for (const LsObjective objective :
@@ -549,6 +550,92 @@ EtcMatrix tied_instance(int jobs, int machines, std::uint64_t seed) {
   std::vector<double> values(static_cast<std::size_t>(jobs * machines));
   for (double& v : values) v = static_cast<double>(rng.uniform_int(1, 3));
   return EtcMatrix(jobs, machines, std::move(values));
+}
+
+/// insertion_rank's count over the public job list: the strict-less key
+/// count, then the id-ordered walk across the tie range.
+std::uint32_t linear_rank(const ScheduleEvaluator& eval, MachineId m,
+                          JobId job) {
+  const double key = eval.etc()(job, m);
+  const auto& jobs = eval.machine_jobs(m);
+  std::uint32_t q = 0;
+  for (const auto& entry : jobs) q += entry.first < key ? 1u : 0u;
+  while (q < jobs.size() && jobs[q].first == key && jobs[q].second < job) {
+    ++q;
+  }
+  return q;
+}
+
+/// The rank table of every machine against the linear count, for every
+/// job: non-members get their insertion rank, members their own position.
+void expect_ranks_match_linear_count(ScheduleEvaluator& eval,
+                                     const std::string& label) {
+  for (MachineId m = 0; m < eval.num_machines(); ++m) {
+    const auto ranks = eval.insertion_ranks(m);
+    ASSERT_EQ(ranks.size(), static_cast<std::size_t>(eval.num_jobs()));
+    for (JobId j = 0; j < eval.num_jobs(); ++j) {
+      ASSERT_EQ(ranks[static_cast<std::size_t>(j)], linear_rank(eval, m, j))
+          << label << " machine=" << m << " job=" << j;
+    }
+  }
+}
+
+TEST(LmctsKernelOracle, RankTableMatchesLinearCountAtTies) {
+  // Machine 0 holds jobs 10..19; every job's ETC there is 2 or 5, so each
+  // partner ties a member key, with partner ids on both sides of the tied
+  // members' ids (0..9 below, 20..29 above).
+  const int n = 30;
+  std::vector<double> values(static_cast<std::size_t>(n * 3));
+  for (JobId j = 0; j < n; ++j) {
+    values[static_cast<std::size_t>(j * 3)] = j % 2 == 0 ? 2.0 : 5.0;
+    values[static_cast<std::size_t>(j * 3 + 1)] = 1.0 + j % 4;
+    values[static_cast<std::size_t>(j * 3 + 2)] = 3.0;
+  }
+  const EtcMatrix etc(n, 3, std::move(values));
+  Schedule schedule(n);
+  for (JobId j = 0; j < n; ++j) {
+    schedule[j] = j >= 10 && j < 20 ? 0 : 1 + j % 2;
+  }
+  ScheduleEvaluator eval(etc);
+  eval.reset(schedule);
+  expect_ranks_match_linear_count(eval, "two-key ties");
+  // The cached column order serves the next walk: edit, then re-rank.
+  eval.apply_swap(10, 21);
+  eval.apply_move(3, 0);
+  expect_ranks_match_linear_count(eval, "two-key ties after edits");
+  eval.check_consistency();
+
+  // An empty focus machine: every rank is 0.
+  Schedule off_zero(n);
+  for (JobId j = 0; j < n; ++j) off_zero[j] = 1 + j % 2;
+  eval.reset(off_zero);
+  expect_ranks_match_linear_count(eval, "empty machine");
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const EtcMatrix tied = tied_instance(40, 5, seed);
+    Rng rng(seed);
+    ScheduleEvaluator random_eval(tied);
+    random_eval.reset(Schedule::random(40, 5, rng));
+    expect_ranks_match_linear_count(random_eval,
+                                    "tied seed " + std::to_string(seed));
+  }
+
+  // One machine: every job is a member, ranked at its own position.
+  const EtcMatrix single = tied_instance(12, 1, 9);
+  ScheduleEvaluator single_eval(single);
+  single_eval.reset(Schedule(12, 0));
+  expect_ranks_match_linear_count(single_eval, "m=1");
+}
+
+TEST(LmctsKernelOracle, ConsistencyCheckCatchesAMatrixEditedWhileBound) {
+  EtcMatrix etc = tied_instance(16, 2, 3);
+  ScheduleEvaluator eval(etc);
+  eval.reset(Schedule(16, 1));
+  (void)eval.insertion_ranks(0);
+  eval.check_consistency();
+  // Machine 0 holds no job, so only its cached column order goes stale.
+  etc.set(0, 0, 100.0);
+  EXPECT_THROW(eval.check_consistency(), std::logic_error);
 }
 
 TEST(LmctsKernelOracle, MatchesJobOrderScanOnEveryClass) {
