@@ -25,6 +25,7 @@
 #include "heuristics/constructive.h"
 #include "obs/bench_report.h"
 #include "portfolio/portfolio.h"
+#include "service/grid_scheduling_service.h"
 
 namespace gridsched {
 namespace {
@@ -297,6 +298,25 @@ void BM_MemberFloor(benchmark::State& state, std::string_view member_name) {
 BENCHMARK_CAPTURE(BM_MemberFloor, StruggleGA, "StruggleGA");
 BENCHMARK_CAPTURE(BM_MemberFloor, cMA, "cMA");
 BENCHMARK_CAPTURE(BM_MemberFloor, cMA_sync, "cMA-sync");
+
+// One whole shard race: a 4-shard service activation on a swf-sized batch
+// (96 jobs x 48 machines, so about 24 x 12 per shard) with every member
+// stopped at 60 evaluations, on a 4-thread pool. Steady state: each
+// activation warm-starts from the previous one's elites, and the member
+// and shard dispatch orders follow the measured times, as in a service.
+void BM_ShardRace(benchmark::State& state) {
+  const EtcMatrix etc = bench_instance(96, 48);
+  ServiceConfig config;
+  config.num_shards = 4;
+  config.threads = 4;
+  config.total_budget_ms = 60'000.0;
+  config.member_stop = StopCondition{.max_evaluations = 60};
+  GridSchedulingService service(config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.schedule_batch(etc));
+  }
+}
+BENCHMARK(BM_ShardRace);
 
 // Lagrangian-dual makespan bound on the paper's 512x16 u_c_hihi.0 (every
 // class costs about the same: the pivot budget binds on all twelve).

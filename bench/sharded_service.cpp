@@ -287,6 +287,11 @@ int main(int argc, char** argv) {
 
   const double budget_ms = cli.get_double("budget-ms");
   const int seeds = static_cast<int>(cli.get_int("seeds"));
+  if (!(budget_ms > 0 && std::isfinite(budget_ms))) {
+    std::cerr << "sharded_service: --budget-ms must be finite and > 0, got "
+              << budget_ms << "\n";
+    return 2;
+  }
   const RoutingKind overlap_routing = routing_kind_from_name(
       cli.get("routing"));
   const std::string steal_flag = cli.get("steal");

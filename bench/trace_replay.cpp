@@ -251,6 +251,11 @@ int main(int argc, char** argv) {
   const int seeds = static_cast<int>(cli.get_int("seeds"));
   const double budget_ms = cli.get_double("budget-ms");
   const std::vector<int> shard_counts = {1, 2, 4};
+  if (!(budget_ms > 0 && std::isfinite(budget_ms))) {
+    std::cerr << "trace_replay: --budget-ms must be finite and > 0, got "
+              << budget_ms << "\n";
+    return 2;
+  }
 
   obs::BenchReport bench_report;
   bench_report.bench = "trace_replay";

@@ -7,6 +7,7 @@
 // story: how the router spread the jobs, what rebalancing migrated, how
 // each shard's portfolio spent its budget slice, and the per-shard slice
 // of the end-to-end metrics next to the global ones.
+#include <cmath>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -31,6 +32,12 @@ int main(int argc, char** argv) {
   cli.flag("machines", "24", "grid machines");
   cli.flag("budget-ms", "24", "total scheduling budget per activation");
   if (!cli.parse(argc, argv)) return 0;
+  const double budget_ms = cli.get_double("budget-ms");
+  if (!(budget_ms > 0 && std::isfinite(budget_ms))) {
+    std::cerr << "service_tour: --budget-ms must be finite and > 0, got "
+              << budget_ms << "\n";
+    return 2;
+  }
 
   RoutingKind routing{};
   try {
@@ -56,7 +63,7 @@ int main(int argc, char** argv) {
   ServiceConfig service_config;
   service_config.num_shards = static_cast<int>(cli.get_int("shards"));
   service_config.routing = routing;
-  service_config.total_budget_ms = cli.get_double("budget-ms");
+  service_config.total_budget_ms = budget_ms;
   service_config.seed = sim_config.seed;
 
   GridSimulator sim(sim_config);

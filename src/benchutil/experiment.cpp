@@ -38,7 +38,8 @@ MultiRunResult run_many(int runs, std::uint64_t seed0,
     results[i] = run_with_seed(seed0 + 1 + static_cast<std::uint64_t>(i));
   };
   if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(runs), one);
+    pool->parallel_for(static_cast<std::size_t>(runs),
+                       [&](std::size_t i, std::size_t) { one(i); });
   } else {
     for (std::size_t i = 0; i < static_cast<std::size_t>(runs); ++i) one(i);
   }
@@ -52,7 +53,7 @@ std::vector<MultiRunResult> run_matrix(const std::vector<SeededRun>& jobs,
   std::vector<std::vector<EvolutionResult>> grid(
       jobs.size(), std::vector<EvolutionResult>(static_cast<std::size_t>(runs)));
   pool.parallel_for(jobs.size() * static_cast<std::size_t>(runs),
-                    [&](std::size_t index) {
+                    [&](std::size_t index, std::size_t) {
                       const std::size_t j = index / static_cast<std::size_t>(runs);
                       const std::size_t r = index % static_cast<std::size_t>(runs);
                       grid[j][r] =

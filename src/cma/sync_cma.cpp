@@ -42,17 +42,42 @@ EvolutionResult SynchronousCellularMa::run(const EtcMatrix& etc) const {
 
 EvolutionResult SynchronousCellularMa::run(
     const EtcMatrix& etc, std::span<const Schedule> warm) const {
+  // One workspace per pool lane (one when sequential), persistent across
+  // generations: the evaluator re-targets each offspring via the gene-diff
+  // path instead of a from-scratch rebuild, and every scratch buffer
+  // (offspring schedule, parent list, mutation working sets, candidate)
+  // keeps its capacity. A cell's result does not depend on which lane ran
+  // it: reset_to leaves the evaluator bitwise as a fresh reset would, and
+  // every other buffer is overwritten before it is read. So a lane can take
+  // any cell, and the run is bitwise the same at any thread count.
+  struct CellWorkspace {
+    ScheduleEvaluator evaluator;
+    Schedule offspring;
+    Individual candidate;
+    MutationScratch mutation_scratch;
+    std::vector<const Schedule*> parent_schedules;
+    explicit CellWorkspace(const EtcMatrix& matrix) : evaluator(matrix) {}
+  };
+  const std::size_t pop_cells =
+      static_cast<std::size_t>(config_.pop_height * config_.pop_width);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads_ > 0) {
+    pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads_));
+  }
+  std::vector<CellWorkspace> workspaces;
+  const std::size_t lanes = pool ? pool->lanes(pop_cells) : 1;
+  workspaces.reserve(lanes);
+  for (std::size_t i = 0; i < lanes; ++i) workspaces.emplace_back(etc);
+
   Rng init_rng(config_.seed);
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
-  // Initial mesh: the asynchronous engine's pass, with one split stream
-  // per cell for the local searches.
-  std::vector<Individual> current;
-  {
-    ScheduleEvaluator evaluator(etc);
-    current = CellularMemeticAlgorithm(config_).initialize_population(
-        evaluator, init_rng, warm, tracker, /*split_streams=*/true);
-  }
+  // Initial mesh: the asynchronous engine's pass on lane 0's evaluator,
+  // with one split stream per cell for the local searches.
+  std::vector<Individual> current =
+      CellularMemeticAlgorithm(config_).initialize_population(
+          workspaces.front().evaluator, init_rng, warm, tracker,
+          /*split_streams=*/true);
 
   const Topology topology(config_.pop_height, config_.pop_width,
                           config_.neighborhood);
@@ -64,32 +89,10 @@ EvolutionResult SynchronousCellularMa::run(
                         static_cast<double>(pop_size));
 
   std::vector<Individual> next(current.size());
-  std::unique_ptr<ThreadPool> pool;
-  if (threads_ > 0) {
-    pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads_));
-  }
-
-  // One workspace per cell, persistent across generations: the evaluator
-  // re-targets each generation's offspring via the gene-diff path instead
-  // of a from-scratch rebuild, and every scratch buffer (offspring
-  // schedule, parent list, mutation working sets, candidate) keeps its
-  // capacity. Cells map 1:1 to workspaces, so the parallel schedule can
-  // hand any cell to any worker without sharing mutable state.
-  struct CellWorkspace {
-    ScheduleEvaluator evaluator;
-    Schedule offspring;
-    Individual candidate;
-    MutationScratch mutation_scratch;
-    std::vector<const Schedule*> parent_schedules;
-    explicit CellWorkspace(const EtcMatrix& matrix) : evaluator(matrix) {}
-  };
-  std::vector<CellWorkspace> workspaces;
-  workspaces.reserve(current.size());
-  for (std::size_t i = 0; i < current.size(); ++i) workspaces.emplace_back(etc);
 
   std::int64_t generation = 0;
   while (!tracker.should_stop()) {
-    auto evolve_cell = [&](std::size_t cell_index) {
+    auto evolve_cell = [&](std::size_t cell_index, std::size_t lane) {
       // In-generation stop poll: under the portfolio's deadline token a
       // generation on a large batch can cost several budgets, so remaining
       // cells carry their resident forward instead of evolving. Counters
@@ -101,7 +104,7 @@ EvolutionResult SynchronousCellularMa::run(
       }
       const int cell = static_cast<int>(cell_index);
       Rng rng = cell_rng(config_.seed, generation, cell);
-      CellWorkspace& ws = workspaces[cell_index];
+      CellWorkspace& ws = workspaces[lane];
 
       const auto neighborhood = topology.neighbors(cell);
       const std::vector<int> parents =
@@ -133,7 +136,7 @@ EvolutionResult SynchronousCellularMa::run(
     if (pool) {
       pool->parallel_for(current.size(), evolve_cell);
     } else {
-      for (std::size_t i = 0; i < current.size(); ++i) evolve_cell(i);
+      for (std::size_t i = 0; i < current.size(); ++i) evolve_cell(i, 0);
     }
 
     current.swap(next);

@@ -114,18 +114,19 @@ void ThreadPool::wait_idle() {
   throw TaskGroupError(std::move(errors));
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
+void ThreadPool::parallel_for(
+    std::size_t n,
+    const std::function<void(std::size_t index, std::size_t lane)>& fn) {
   if (n == 0) return;
   // Dynamic scheduling over a shared counter: work items may have very
   // uneven cost (e.g. different algorithm configurations). The wait helps,
-  // so the calling thread is a lane too.
+  // so the calling thread is a lane too. Each lane is one task, so its
+  // index is never live on two threads at once.
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
   TaskGroup group = make_group();
-  const std::size_t lanes = std::min(n, size() + 1);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    submit(group, [next, n, &fn] {
-      for (std::size_t i = (*next)++; i < n; i = (*next)++) fn(i);
+  for (std::size_t lane = 0; lane < lanes(n); ++lane) {
+    submit(group, [next, n, lane, &fn] {
+      for (std::size_t i = (*next)++; i < n; i = (*next)++) fn(i, lane);
     });
   }
   group.wait();

@@ -20,6 +20,7 @@
 // instead of draining the whole pool.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -127,11 +128,23 @@ class ThreadPool {
   /// to their group's wait().
   void wait_idle();
 
-  /// Runs fn(i) for i in [0, n), distributing indices over the pool, and
-  /// blocks until all complete; the calling thread takes a lane too. `fn`
-  /// must be safe to call concurrently. Runs in its own task group, so
-  /// concurrent parallel_for calls on a shared pool wait independently.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Lanes a parallel_for over `n` items runs on: one per worker plus the
+  /// calling thread, and never more than there are items.
+  [[nodiscard]] std::size_t lanes(std::size_t n) const noexcept {
+    return std::min(n, size() + 1);
+  }
+
+  /// Runs fn(i, lane) for i in [0, n), distributing indices over the pool,
+  /// and blocks until all complete; the calling thread takes a lane too.
+  /// `lane` lies in [0, lanes(n)), and no two concurrent calls of one
+  /// parallel_for share a lane, so a caller may keep one workspace per lane
+  /// instead of one per index. Which lane runs which index is up to the
+  /// scheduler. `fn` must be safe to call concurrently. Runs in its own
+  /// task group, so concurrent parallel_for calls on a shared pool wait
+  /// independently.
+  void parallel_for(
+      std::size_t n,
+      const std::function<void(std::size_t index, std::size_t lane)>& fn);
 
  private:
   /// A queued task, tagged with its group so helping waiters can pick

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -107,6 +108,21 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
   std::uint64_t seed_state =
       config_.seed ^ (activation_ * 0x9e3779b97f4a7c15ULL);
   const std::size_t num_members = members_.size();
+  std::vector<std::uint64_t> seeds(num_members);
+  for (std::uint64_t& seed : seeds) seed = splitmix64(seed_state);
+  // Longest member first (the paper's LJFR rule applied to the pool's
+  // lanes): the slowest solves start at once and the quick heuristics fill
+  // the tail, so the race ends sooner. Mean ms so far ranks them; ties,
+  // the first race included, put the higher index first. Seeds stay tied
+  // to the member index, so the order moves no schedule bit.
+  std::vector<std::size_t> order(num_members);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto mean_ms = [this](std::size_t i) {
+    return stats_[i].runs > 0 ? stats_[i].total_ms / stats_[i].runs : 0.0;
+  };
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair(mean_ms(a), a) > std::pair(mean_ms(b), b);
+  });
   std::vector<MemberResult> results(num_members);
   Stopwatch race_watch;
   // The race runs in its own task group: waiting drains THIS portfolio's
@@ -115,8 +131,8 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
   // pool without false barriers, and a member failure here never leaks
   // into a neighboring race.
   TaskGroup race = pool_->make_group();
-  for (std::size_t i = 0; i < num_members; ++i) {
-    const std::uint64_t seed = splitmix64(seed_state);
+  for (const std::size_t i : order) {
+    const std::uint64_t seed = seeds[i];
     PortfolioMember* member = members_[i].get();
     MemberResult* out = &results[i];
     // The span lives inside the task so it opens and closes on whichever

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -638,6 +639,93 @@ TEST(Service, ConcurrentAndSequentialActivationAgree) {
     for (const ServiceActivationRecord& record :
          service_seq.service_activations()) {
       EXPECT_FALSE(record.concurrent);
+    }
+  }
+}
+
+TEST(Service, PoolWidthMovesNoPlanOrRecord) {
+  // Shard races go out largest sub-batch first and portfolio members
+  // longest-running first; on evaluation-bounded members neither order,
+  // nor how many lanes the pool has, may move a plan or a book. Batches of
+  // different sizes make the dispatch orders differ from round to round.
+  struct Run {
+    std::vector<Schedule> plans;
+    std::unique_ptr<GridSchedulingService> service;
+  };
+  const std::vector<EtcMatrix> batches = {
+      small_instance(40, 10, 5), small_instance(57, 10, 6),
+      small_instance(23, 10, 7), small_instance(64, 10, 8)};
+  const auto run_at = [&](std::size_t threads) {
+    ServiceConfig config = deterministic_config(5);
+    config.threads = threads;
+    config.member_stop = StopCondition{.max_evaluations = 60};
+    Run run{{}, std::make_unique<GridSchedulingService>(config)};
+    for (const EtcMatrix& etc : batches) {
+      run.plans.push_back(run.service->schedule_batch(etc));
+    }
+    return run;
+  };
+  const Run reference = run_at(1);
+  const GridSchedulingService& ref = *reference.service;
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const Run run = run_at(threads);
+    const GridSchedulingService& other = *run.service;
+    EXPECT_EQ(run.plans, reference.plans) << threads << " threads";
+
+    ASSERT_EQ(other.shard_activations().size(),
+              ref.shard_activations().size());
+    for (std::size_t i = 0; i < ref.shard_activations().size(); ++i) {
+      const ShardActivationRecord& a = ref.shard_activations()[i];
+      const ShardActivationRecord& b = other.shard_activations()[i];
+      EXPECT_EQ(a.activation, b.activation);
+      EXPECT_EQ(a.shard, b.shard);
+      EXPECT_EQ(a.jobs, b.jobs);
+      EXPECT_EQ(a.migrated_in, b.migrated_in);
+      EXPECT_EQ(a.migrated_out, b.migrated_out);
+      EXPECT_EQ(a.stolen_in, b.stolen_in);
+      EXPECT_EQ(a.stolen_out, b.stolen_out);
+      EXPECT_EQ(a.backlog, b.backlog);
+      EXPECT_EQ(a.budget_ms, b.budget_ms);
+    }
+    ASSERT_EQ(other.service_activations().size(),
+              ref.service_activations().size());
+    for (std::size_t i = 0; i < ref.service_activations().size(); ++i) {
+      const ServiceActivationRecord& a = ref.service_activations()[i];
+      const ServiceActivationRecord& b = other.service_activations()[i];
+      EXPECT_EQ(a.activation, b.activation);
+      EXPECT_EQ(a.shards_raced, b.shards_raced);
+      EXPECT_EQ(a.concurrent, b.concurrent);
+      EXPECT_EQ(a.jobs_stolen, b.jobs_stolen);
+      EXPECT_EQ(a.jobs_rejected, b.jobs_rejected);
+      EXPECT_EQ(a.jobs_rerouted, b.jobs_rerouted);
+    }
+
+    ASSERT_EQ(other.num_shards(), ref.num_shards());
+    for (int shard = 0; shard < ref.num_shards(); ++shard) {
+      const PortfolioBatchScheduler& pa = ref.shard_scheduler(shard);
+      const PortfolioBatchScheduler& pb = other.shard_scheduler(shard);
+      ASSERT_EQ(pb.activations().size(), pa.activations().size());
+      for (std::size_t i = 0; i < pa.activations().size(); ++i) {
+        const ActivationRecord& a = pa.activations()[i];
+        const ActivationRecord& b = pb.activations()[i];
+        EXPECT_EQ(a.activation, b.activation);
+        EXPECT_EQ(a.batch_jobs, b.batch_jobs);
+        EXPECT_EQ(a.winner, b.winner);
+        EXPECT_EQ(a.winner_name, b.winner_name);
+        EXPECT_EQ(a.best_fitness, b.best_fitness);
+        EXPECT_EQ(a.qos_pareto, b.qos_pareto);
+        EXPECT_EQ(a.winner_missed, b.winner_missed);
+        EXPECT_EQ(a.winner_cost, b.winner_cost);
+      }
+      ASSERT_EQ(pb.member_stats().size(), pa.member_stats().size());
+      for (std::size_t m = 0; m < pa.member_stats().size(); ++m) {
+        const MemberStats& a = pa.member_stats()[m];
+        const MemberStats& b = pb.member_stats()[m];
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.runs, b.runs);
+        EXPECT_EQ(a.wins, b.wins);
+        EXPECT_EQ(a.evaluations, b.evaluations);
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cma/cma.h"
 #include "etc/instance.h"
 #include "heuristics/constructive.h"
@@ -59,6 +61,39 @@ TEST(SyncCma, BitwiseIdenticalAcrossThreadCounts) {
   EXPECT_EQ(sequential.best.schedule, eight_threads.best.schedule);
   EXPECT_DOUBLE_EQ(sequential.best.fitness, eight_threads.best.fitness);
   EXPECT_EQ(sequential.evaluations, eight_threads.evaluations);
+}
+
+TEST(SyncCma, WarmFinalPopulationIsIdenticalAcrossThreadCounts) {
+  // The engine keeps one workspace per pool lane, so at 1 and 3 threads a
+  // lane evolves many cells and lane 0's evaluator also ran the init pass.
+  // Every cell of the final mesh must still match the sequential run's.
+  const EtcMatrix etc = small_instance();
+  Rng rng(4242);
+  std::vector<Schedule> warm;
+  for (int i = 0; i < 8; ++i) {
+    warm.push_back(
+        Schedule::random(etc.num_jobs(), etc.num_machines(), rng));
+  }
+  CmaConfig config = fast_config();
+  config.keep_final_population = true;
+  const auto sequential = SynchronousCellularMa(config, 0).run(etc, warm);
+  ASSERT_EQ(sequential.population.size(),
+            static_cast<std::size_t>(config.pop_height * config.pop_width));
+  for (const int threads : {1, 3}) {
+    const auto parallel = SynchronousCellularMa(config, threads).run(etc, warm);
+    ASSERT_EQ(parallel.population.size(), sequential.population.size());
+    for (std::size_t cell = 0; cell < sequential.population.size(); ++cell) {
+      EXPECT_EQ(parallel.population[cell].schedule,
+                sequential.population[cell].schedule)
+          << "threads " << threads << ", cell " << cell;
+      EXPECT_EQ(parallel.population[cell].fitness,
+                sequential.population[cell].fitness)
+          << "threads " << threads << ", cell " << cell;
+    }
+    EXPECT_EQ(parallel.best.schedule, sequential.best.schedule);
+    EXPECT_EQ(parallel.best.fitness, sequential.best.fitness);
+    EXPECT_EQ(parallel.evaluations, sequential.evaluations);
+  }
 }
 
 TEST(SyncCma, EvaluationCountIsOneGenerationPerIteration) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -30,22 +31,55 @@ TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  pool.parallel_for(hits.size(),
+                    [&](std::size_t i, std::size_t) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForZeroItemsIsNoop) {
   ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
+  pool.parallel_for(0, [](std::size_t, std::size_t) {
+    FAIL() << "must not be called";
+  });
 }
 
 TEST(ThreadPool, ParallelForWithMoreItemsThanThreads) {
   ThreadPool pool(2);
   std::atomic<long> sum{0};
-  pool.parallel_for(1000, [&](std::size_t i) {
+  pool.parallel_for(1000, [&](std::size_t i, std::size_t) {
     sum += static_cast<long>(i);
   });
   EXPECT_EQ(sum.load(), 999L * 1000 / 2);
+}
+
+TEST(ThreadPool, ParallelForLanesAreInRangeAndNeverShared) {
+  // A caller may keep one workspace per lane, so a lane index must never
+  // be live on two threads at once: each call claims its lane's busy flag
+  // and fails if another call already holds it.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {std::size_t{2}, std::size_t{200}}) {
+      const std::size_t lanes = pool.lanes(n);
+      EXPECT_EQ(lanes, std::min(n, threads + 1));
+      std::vector<std::atomic<bool>> busy(lanes);
+      std::atomic<int> out_of_range{0};
+      std::atomic<int> shared{0};
+      std::atomic<int> calls{0};
+      pool.parallel_for(n, [&](std::size_t, std::size_t lane) {
+        ++calls;
+        if (lane >= lanes) {
+          ++out_of_range;
+          return;
+        }
+        if (busy[lane].exchange(true)) ++shared;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        busy[lane] = false;
+      });
+      EXPECT_EQ(calls.load(), static_cast<int>(n));
+      EXPECT_EQ(out_of_range.load(), 0) << threads << " threads, n " << n;
+      EXPECT_EQ(shared.load(), 0) << threads << " threads, n " << n;
+    }
+  }
 }
 
 TEST(ThreadPool, TaskExceptionSurfacesInWaitIdle) {
