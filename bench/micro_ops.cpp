@@ -302,8 +302,7 @@ BENCHMARK_CAPTURE(BM_MemberFloor, cMA_sync, "cMA-sync");
 // One whole shard race: a 4-shard service activation on a swf-sized batch
 // (96 jobs x 48 machines, so about 24 x 12 per shard) with every member
 // stopped at 60 evaluations, on a 4-thread pool. Steady state: each
-// activation warm-starts from the previous one's elites, and the member
-// and shard dispatch orders follow the measured times, as in a service.
+// activation warm-starts from the previous one's elites, as in a service.
 void BM_ShardRace(benchmark::State& state) {
   const EtcMatrix etc = bench_instance(96, 48);
   ServiceConfig config;

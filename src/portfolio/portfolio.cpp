@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -110,19 +109,14 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
   const std::size_t num_members = members_.size();
   std::vector<std::uint64_t> seeds(num_members);
   for (std::uint64_t& seed : seeds) seed = splitmix64(seed_state);
-  // Longest member first (the paper's LJFR rule applied to the pool's
-  // lanes): the slowest solves start at once and the quick heuristics fill
-  // the tail, so the race ends sooner. Mean ms so far ranks them; ties,
-  // the first race included, put the higher index first. Seeds stay tied
-  // to the member index, so the order moves no schedule bit.
-  std::vector<std::size_t> order(num_members);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const auto mean_ms = [this](std::size_t i) {
-    return stats_[i].runs > 0 ? stats_[i].total_ms / stats_[i].runs : 0.0;
-  };
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return std::pair(mean_ms(a), a) > std::pair(mean_ms(b), b);
-  });
+  // A race whose members stop on a count goes out last member first: the
+  // default list ends with the two cMA solves, the longest, so they start
+  // at once and the one-pass heuristics fill the tail (the paper's LJFR
+  // rule on the pool's lanes). A wall-clock race keeps index order: there
+  // every search member runs to the deadline, and on a crowded pool the
+  // first one submitted takes the slice. Seeds stay tied to the member
+  // index, so the order moves no schedule bit.
+  const bool counted = stop.max_evaluations > 0 || stop.max_iterations > 0;
   std::vector<MemberResult> results(num_members);
   Stopwatch race_watch;
   // The race runs in its own task group: waiting drains THIS portfolio's
@@ -131,7 +125,8 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
   // pool without false barriers, and a member failure here never leaks
   // into a neighboring race.
   TaskGroup race = pool_->make_group();
-  for (const std::size_t i : order) {
+  for (std::size_t k = 0; k < num_members; ++k) {
+    const std::size_t i = counted ? num_members - 1 - k : k;
     const std::uint64_t seed = seeds[i];
     PortfolioMember* member = members_[i].get();
     MemberResult* out = &results[i];

@@ -713,26 +713,17 @@ Schedule GridSchedulingService::schedule_batch(const EtcMatrix& etc,
   // barrier, and sequential mode waits on each group before submitting
   // the next shard's race. Budgets are armed serially before each race
   // starts (the portfolios are only ever touched by their own task).
-  // Largest sub-batch first, shard order on ties: its members reach the
-  // pool's lanes before the smaller races' do, so the longest race does
-  // not start last. Races are independent, so the order moves no plan bit.
-  std::vector<ShardRace*> dispatch;
-  dispatch.reserve(races.size());
-  for (ShardRace& race : races) dispatch.push_back(&race);
-  std::stable_sort(dispatch.begin(), dispatch.end(),
-                   [](const ShardRace* a, const ShardRace* b) {
-                     return a->sub.num_jobs() > b->sub.num_jobs();
-                   });
   std::vector<TaskGroup> groups;
   groups.reserve(races.size());
-  for (ShardRace* slot : dispatch) {
-    ShardActivationRecord& record = active[slot->active_index].record;
+  for (ShardRace& race : races) {
+    ShardActivationRecord& record = active[race.active_index].record;
     const int shard_id = record.shard;
     PortfolioBatchScheduler* scheduler =
         shards_[static_cast<std::size_t>(shard_id)].get();
     scheduler->set_budget_ms(slice);
     record.budget_ms = slice;
     groups.push_back(pool_.make_group());
+    ShardRace* slot = &race;
     double* race_ms = &record.race_ms;
     // The span opens inside the task, on the pool thread running this
     // shard's race — so per-tid nesting holds and the member spans the

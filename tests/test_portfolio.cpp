@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "etc/instance.h"
 #include "sim/grid_simulator.h"
@@ -431,6 +433,59 @@ TEST(Portfolio, TwoPortfoliosRaceConcurrentlyOnOneSharedPool) {
   // with their solo references.
   EXPECT_EQ(got_a, want_a);
   EXPECT_EQ(got_b, want_b);
+}
+
+/// Logs its index when its solve starts and answers MCT's schedule.
+class StartOrderProbe final : public PortfolioMember {
+ public:
+  StartOrderProbe(int index, std::vector<int>* started)
+      : index_(index), started_(started) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "probe";
+  }
+  [[nodiscard]] FitnessWeights weights() const noexcept override {
+    return {};
+  }
+  [[nodiscard]] MemberResult solve(const EtcMatrix& etc, const StopCondition&,
+                                   std::span<const Schedule>,
+                                   std::uint64_t) override {
+    started_->push_back(index_);
+    MemberResult result;
+    result.best = make_individual(mct(etc), etc, weights());
+    return result;
+  }
+
+ private:
+  int index_;
+  std::vector<int>* started_;
+};
+
+TEST(Portfolio, CountedRacesStartLastMemberFirstWallClockRacesInIndexOrder) {
+  // The pool's one worker is parked on a plain task, so the calling
+  // thread runs the whole race, and its helping wait takes the group's
+  // tasks in submission order.
+  const EtcMatrix etc = small_instance();
+  for (const bool counted : {true, false}) {
+    ThreadPool pool(1);
+    std::promise<void> release;
+    pool.submit([gate = release.get_future().share()] { gate.wait(); });
+    std::vector<int> started;
+    {
+      std::vector<std::unique_ptr<PortfolioMember>> members;
+      for (int i = 0; i < 3; ++i) {
+        members.push_back(std::make_unique<StartOrderProbe>(i, &started));
+      }
+      PortfolioConfig config;
+      config.stop.max_time_ms = 60'000.0;
+      if (counted) config.stop.max_evaluations = 200;
+      PortfolioBatchScheduler portfolio(config, std::move(members), pool);
+      (void)portfolio.schedule_batch(etc);
+    }
+    release.set_value();
+    const std::vector<int> want =
+        counted ? std::vector<int>{2, 1, 0} : std::vector<int>{0, 1, 2};
+    EXPECT_EQ(started, want) << "counted=" << counted;
+  }
 }
 
 TEST(Portfolio, SetBudgetRearmsTheDeadline) {
